@@ -63,7 +63,7 @@ from repro.net import (
     SimClock,
     make_site,
 )
-from repro.runtime import Completeness, ParallelExecutor, PlanRepairer, build_dag
+from repro.runtime import Completeness, PlanRepairer, build_dag
 
 __version__ = "1.0.0"
 
@@ -103,7 +103,6 @@ __all__ = [
     "RemoteDomain",
     "SimClock",
     "make_site",
-    "ParallelExecutor",
     "build_dag",
     "__version__",
 ]

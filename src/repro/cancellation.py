@@ -2,7 +2,7 @@
 
 A :class:`CancellationToken` is the one stop signal a query run carries:
 the parallel scheduler's workers check it before starting queued tasks,
-both executors check it before dialing a source and between answers, and
+the executor checks it before dialing a source and between answers, and
 the serving tier fires it from the wire (a client ``cancel`` op, a
 dropped connection, a deadline, or the server watchdog) — the
 distributed-system version of HERMES killing still-running external

@@ -219,8 +219,8 @@ class MediatorShell:
             if jobs < 1:
                 raise ReproError(f":jobs requires at least 1 worker, got {jobs}")
             self.mediator.set_jobs(jobs)
-            engine = "parallel" if jobs > 1 else "sequential"
-            self.write(f"execution engine: {engine} ({jobs} worker(s)).")
+            strategy = "worker pool" if jobs > 1 else "inline"
+            self.write(f"dispatch strategy: {strategy} ({jobs} worker(s)).")
         elif command == ":storage":
             if argument == "flush":
                 self.mediator.flush_storage()
@@ -417,8 +417,8 @@ def stats_main(argv: list[str], stdout: Optional[IO[str]] = None) -> int:
     Options: ``--demo NAME`` picks the testbed (default ``rope``),
     ``--cim`` routes the queries through the cache manager, ``--flaky
     RATE`` injects transient faults (per-attempt probability) at every
-    site under the default retry policy, ``--jobs N`` executes on the
-    parallel engine with N workers, ``--health`` enables source-health
+    site under the default retry policy, ``--jobs N`` executes with
+    a pool of N workers, ``--health`` enables source-health
     tracking (breaker state, error rate, latency quantiles), ``--storage
     SPEC`` mirrors the caches through a persistent backend (flushed
     before the report), ``--warm-start`` reloads the previous run's
@@ -486,7 +486,6 @@ def stats_main(argv: list[str], stdout: Optional[IO[str]] = None) -> int:
     if flaky is not None:
         _make_flaky(mediator, flaky)
     if jobs is not None:
-        # after _make_flaky so the parallel engine inherits the retry policy
         mediator.set_jobs(jobs)
     answers = 0
     ran = 0

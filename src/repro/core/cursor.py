@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.plans import Plan
-from repro.core.terms import Value
+from repro.core.terms import Term, Value, Variable
 from repro.errors import ReproError
 
 if TYPE_CHECKING:
@@ -24,11 +24,19 @@ if TYPE_CHECKING:
 class QueryCursor:
     """A lazy answer stream over one executing plan."""
 
-    def __init__(self, executor: "Executor", plan: Plan, clock: "SimClock"):
+    def __init__(
+        self,
+        executor: "Executor",
+        plan: Plan,
+        clock: "SimClock",
+        initial_subst: Optional[dict[Variable, Term]] = None,
+    ):
         self._plan = plan
         self._clock = clock
         self._start_ms = clock.now_ms
-        self._stream: Optional[Iterator[tuple[Value, ...]]] = executor.stream(plan)
+        self._stream: Optional[Iterator[tuple[Value, ...]]] = executor.stream(
+            plan, initial_subst=initial_subst
+        )
         self._fetched: list[tuple[Value, ...]] = []
         self._exhausted = False
         self._t_first_ms: Optional[float] = None

@@ -15,6 +15,14 @@ first answer costs the call's ``T_first``, the rest spread evenly up to
 
 Two answer modes (paper §3): ``all`` computes everything; ``interactive``
 delivers answers in batches and asks a callback whether to continue.
+
+One class interprets every plan.  :meth:`Executor.run` picks a *dispatch
+strategy* from what it can observe — ``jobs`` and the plan's dependency
+DAG: the **inline** strategy is the nested loop on the caller's thread;
+the **pool** strategy (:mod:`repro.runtime.scheduler`) overlaps
+independent calls on worker threads.  Both drive the same
+``_solve``/``_dispatch`` under a per-run :class:`_RunContext`, feed the
+same answer loop, and populate the subplan tier through the same routine.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterator, Optional, Sequence
 
 from repro.cancellation import CancellationToken
 from repro.cim.manager import CacheInvariantManager
@@ -30,7 +38,6 @@ from repro.core.model import Comparison, GroundCall
 from repro.core.plans import CallStep, CompareStep, Plan, PlanStep
 from repro.core.subplan import (
     CanonicalPrefix,
-    SubplanEntry,
     SubplanResultCache,
     SubplanRow,
     canonicalize_prefix,
@@ -54,11 +61,20 @@ from repro.net.clock import SimClock
 from repro.net.health import HealthRegistry, HedgePolicy
 from repro.net.policy import RetryPolicy, run_with_retry
 
+if TYPE_CHECKING:
+    from repro.runtime.singleflight import SingleFlight
+
 MODE_ALL = "all"
 MODE_INTERACTIVE = "interactive"
 
 #: Decides after each interactive batch whether to fetch more answers.
 ContinueCallback = Callable[[list[tuple[Value, ...]], int], bool]
+
+#: A prefetch/single-flight key: one ground call and its routing.
+CallKey = tuple[GroundCall, bool]
+
+#: A stream of solved substitutions.
+Bindings = Generator[dict[Variable, Term], None, None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,28 +93,6 @@ class TraceEvent:
             f"[{self.at_ms:9.2f}ms] {self.call} -> {self.cardinality} answers "
             f"({self.provenance}, Tf={self.t_first_ms:.2f} Ta={self.t_all_ms:.2f})"
         )
-
-
-@dataclass
-class _RunStats:
-    """Mutable per-run counters threaded through the recursive solver."""
-
-    calls: int = 0
-    incomplete_results: int = 0
-    retries: int = 0
-    degraded: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    missing_sources: set = field(default_factory=set)
-    memo: dict = field(default_factory=dict)
-    trace: "Optional[list[TraceEvent]]" = None
-    # per-run retry-jitter stream: seeded fresh for every run so parallel
-    # and sequential executions are reproducible and never share RNG state
-    rng: "Optional[random.Random]" = None
-    # the caller's stop signal, checked before every source dial so a
-    # cancelled query freezes its dial count mid-plan (paper §3: killing
-    # a running query must stop the external programs it spawned)
-    cancel_token: "Optional[CancellationToken]" = None
 
 
 @dataclass
@@ -142,6 +136,150 @@ class ExecutionResult:
         return [dict(zip(names, answer)) for answer in self.answers]
 
 
+@dataclass(slots=True)
+class _RunContext:
+    """Everything one run — or one worker task of it — owns while it solves.
+
+    The main run charges the executor's shared clock; a pool-strategy
+    worker task solves under a :meth:`child` with a private clock, memo,
+    counters and row collectors, sharing only the run's prefetch table,
+    single-flight group and cancellation token.  The counters carry the
+    names of the :class:`ExecutionResult` fields they become, so
+    :meth:`absorb` folds in either a finished child or
+    (:func:`merge_results`) a finished run's result.
+    """
+
+    clock: SimClock
+    provenance: Counter = field(default_factory=Counter)
+    calls: int = 0
+    retries: int = 0
+    degraded_calls: int = 0
+    hedged_calls: int = 0
+    missing_sources: set = field(default_factory=set)
+    # False once any source served an incomplete answer set
+    complete: bool = True
+    memo: dict = field(default_factory=dict)
+    trace: Optional[list[TraceEvent]] = None
+    # per-run retry-jitter stream: seeded fresh for every run (salted per
+    # worker task) so executions are reproducible and never share RNG state
+    rng: Optional[random.Random] = None
+    # the stop signal, checked before every source dial so a cancelled
+    # query freezes its dial count mid-plan (paper §3: killing a running
+    # query must stop the external programs it spawned)
+    cancel_token: Optional[CancellationToken] = None
+    # pool strategy: wave results replayed at memo cost, and the group
+    # that lets concurrent identical calls share one source round trip
+    prefetch: Optional[dict[CallKey, CallResult]] = None
+    flight: Optional["SingleFlight"] = None
+    # subplan tier: per cut, the rows that streamed past it (None once an
+    # unground binding made the cut unreplayable)
+    collectors: Optional[list[Optional[list[SubplanRow]]]] = None
+    start_ms: float = 0.0
+    # pool strategy: the instant the first answer existed — its branch
+    # finished before the merge loop reached it
+    first_answer_at_ms: Optional[float] = None
+
+    def child(self, now_ms: float, rng: Optional[random.Random]) -> "_RunContext":
+        """The context of one worker task starting at ``now_ms``."""
+        return _RunContext(
+            clock=SimClock(now_ms),
+            trace=None if self.trace is None else [],
+            rng=rng,
+            cancel_token=self.cancel_token,
+            prefetch=self.prefetch,
+            flight=self.flight,
+            collectors=(
+                None if self.collectors is None else [[] for _ in self.collectors]
+            ),
+        )
+
+    def absorb(self, other: "_RunContext | ExecutionResult") -> None:
+        """Fold a finished child context (or a union branch's result) in;
+        children must be absorbed in binding order."""
+        self.calls += other.calls
+        self.retries += other.retries
+        self.degraded_calls += other.degraded_calls
+        self.hedged_calls += other.hedged_calls
+        self.missing_sources |= other.missing_sources
+        self.complete = self.complete and other.complete
+        self.provenance.update(other.provenance)
+        if self.trace is not None and other.trace:
+            self.trace.extend(other.trace)
+        if self.collectors is not None and isinstance(other, _RunContext):
+            assert other.collectors is not None
+            for which, rows in enumerate(other.collectors):
+                mine = self.collectors[which]
+                if rows is None:
+                    self.collectors[which] = None
+                elif mine is not None:
+                    mine.extend(rows)
+
+    def clean(self) -> bool:
+        """True while nothing this run consumed was partial, stale or
+        missing — the only state in which what it enumerated may populate
+        the subplan tier (a partial prefix replayed later would silently
+        drop answers)."""
+        return self.complete and self.degraded_calls == 0 and not self.missing_sources
+
+    def result(
+        self,
+        answers: Sequence[tuple[Value, ...]],
+        answer_vars: tuple[Variable, ...],
+        t_first_ms: Optional[float],
+        t_all_ms: float,
+        exhausted: bool,
+    ) -> ExecutionResult:
+        return ExecutionResult(
+            answers=tuple(answers),
+            answer_vars=answer_vars,
+            t_first_ms=t_first_ms,
+            t_all_ms=t_all_ms,
+            complete=exhausted and self.complete,
+            calls=self.calls,
+            provenance=self.provenance,
+            trace=tuple(self.trace) if self.trace is not None else (),
+            retries=self.retries,
+            degraded_calls=self.degraded_calls,
+            hedged_calls=self.hedged_calls,
+            missing_sources=frozenset(self.missing_sources),
+        )
+
+
+def merge_results(
+    results: Sequence[ExecutionResult],
+    answers: Sequence[tuple[Value, ...]],
+    answer_vars: tuple[Variable, ...],
+    t_first_ms: Optional[float],
+    t_all_ms: float,
+    exhausted: bool,
+) -> ExecutionResult:
+    """One result for several runs (union semantics): the caller supplies
+    the merged answers and timing, the counters fold through the same
+    field list that merges a worker task into its run."""
+    merged = _RunContext(SimClock(), trace=[])
+    for result in results:
+        merged.absorb(result)
+    return merged.result(answers, answer_vars, t_first_ms, t_all_ms, exhausted)
+
+
+@dataclass(slots=True)
+class _SubplanRun:
+    """One run's view of the subplan tier: the plan's cuts with their
+    canonical keys, which cut (if any) was replayed, and how many of the
+    cuts the cache already holds."""
+
+    cache: SubplanResultCache
+    steps: tuple[PlanStep, ...]
+    cuts: tuple[int, ...]
+    prefixes: list[tuple[PlanStep, ...]]  # steps[:cut] per cut
+    canons: list[CanonicalPrefix]
+    opened_ms: float
+    hit: int = -1  # index into cuts of the replayed cut
+    rows: tuple[SubplanRow, ...] = ()
+    base_cost_ms: float = 0.0  # what materializing the replayed cut cost
+    stored: int = 0  # cuts[:stored] are in the cache
+
+
 class Executor:
     """Runs plans against the domain registry and/or the CIM."""
 
@@ -164,6 +302,8 @@ class Executor:
         hedge_policy: Optional[HedgePolicy] = None,
         partial_on_failure: bool = False,
         subplan: Optional[SubplanResultCache] = None,
+        jobs: int = 1,
+        subplan_flight: Optional["SingleFlight"] = None,
     ):
         self.registry = registry
         self.clock = clock
@@ -201,6 +341,12 @@ class Executor:
         # of plan prefixes, replayed for any plan with the same canonical
         # prefix — across queries, not just within one run like the memo
         self.subplan = subplan
+        # worker count of the pool strategy; 1 always runs inline
+        self.jobs = max(1, int(jobs))
+        # single-flight over subplan keys, shared across runs (the mediator
+        # owns it): one concurrent query's materialization of the fan-out
+        # prefix feeds another query's
+        self.subplan_flight = subplan_flight
 
     def set_policy(self, policy: Optional[RetryPolicy]) -> None:
         """Swap the retry policy (each run seeds its own jitter stream)."""
@@ -240,89 +386,62 @@ class Executor:
         before every source dial and between answers, and a fired token
         aborts the run with :class:`~repro.errors.ExecutionCancelledError`
         rather than returning a truncated result.
+
+        With ``jobs > 1`` and a plan that has independent calls to overlap
+        the bindings come from the worker pool; answers, their order and
+        the result contract are the same either way.
         """
         if mode not in (MODE_ALL, MODE_INTERACTIVE):
             raise ReproError(f"unknown execution mode {mode!r}")
-        if self.verify_plans:
-            # imported lazily: the executor must not pull the analysis
-            # package in on the hot path when the assertion is off
-            from repro.analysis.verifier import assert_plan_verified
-
-            assert_plan_verified(
-                plan,
-                bound_vars=frozenset(initial_subst or {}),
-                registry=self.registry,
-            )
-        provenance: Counter = Counter()
-        stats = _RunStats(
-            trace=[] if trace else None,
-            rng=self._fresh_rng(),
-            cancel_token=cancel_token,
-        )
-        start_ms = self.clock.now_ms
-        self.clock.advance(self.init_overhead_ms)
+        ctx, sub, bindings = self._open(plan, initial_subst, trace, cancel_token)
+        clock = self.clock
+        start_ms = ctx.start_ms
         answers: list[tuple[Value, ...]] = []
         t_first: Optional[float] = None
-        complete = True
+        exhausted = True
         batch: list[tuple[Value, ...]] = []
-        stream, subplan_finalize = self._subplan_stream(
-            plan.steps, dict(initial_subst or {}), provenance, stats
-        )
-        for subst in stream:
-            if cancel_token is not None:
-                cancel_token.raise_if_cancelled("between answers")
-            answer = self._project(plan.answer_vars, subst)
-            self.clock.advance(self.display_cost_ms)
-            if t_first is None:
-                t_first = self.clock.now_ms - start_ms
-            answers.append(answer)
-            if max_answers is not None and len(answers) >= max_answers:
-                complete = False
-                break
-            if (
-                max_time_ms is not None
-                and self.clock.now_ms - start_ms >= max_time_ms
-            ):
-                complete = False
-                break
-            if mode == MODE_INTERACTIVE:
-                batch.append(answer)
-                if len(batch) >= batch_size:
-                    keep_going = (
-                        continue_callback(batch, len(answers))
-                        if continue_callback is not None
-                        else True
-                    )
-                    batch = []
-                    if not keep_going:
-                        complete = False
-                        break
-        else:
-            complete = True
-            if (
-                subplan_finalize is not None
-                and stats.incomplete_results == 0
-                and stats.degraded == 0
-                and not stats.missing_sources
-            ):
-                # only fully-enumerated, non-degraded runs may populate the
-                # subplan tier: a partial prefix replayed later would
-                # silently drop answers
-                subplan_finalize()
-        t_all = self.clock.now_ms - start_ms
-        return ExecutionResult(
-            answers=tuple(answers),
-            answer_vars=plan.answer_vars,
-            t_first_ms=t_first,
-            t_all_ms=t_all,
-            complete=complete and stats.incomplete_results == 0,
-            calls=stats.calls,
-            provenance=provenance,
-            trace=tuple(stats.trace) if stats.trace is not None else (),
-            retries=stats.retries,
-            degraded_calls=stats.degraded,
-            hedged_calls=stats.hedges,
-            missing_sources=frozenset(stats.missing_sources),
+        try:
+            for subst in bindings:
+                if cancel_token is not None:
+                    cancel_token.raise_if_cancelled("between answers")
+                answer = self._project(plan.answer_vars, subst)
+                clock.advance(self.display_cost_ms)
+                if t_first is None:
+                    at_ms = ctx.first_answer_at_ms
+                    t_first = (
+                        clock.now_ms
+                        if at_ms is None
+                        else at_ms + self.display_cost_ms
+                    ) - start_ms
+                answers.append(answer)
+                if max_answers is not None and len(answers) >= max_answers:
+                    exhausted = False
+                    break
+                if (
+                    max_time_ms is not None
+                    and clock.now_ms - start_ms >= max_time_ms
+                ):
+                    exhausted = False
+                    break
+                if mode == MODE_INTERACTIVE:
+                    batch.append(answer)
+                    if len(batch) >= batch_size:
+                        keep_going = (
+                            continue_callback(batch, len(answers))
+                            if continue_callback is not None
+                            else True
+                        )
+                        batch = []
+                        if not keep_going:
+                            exhausted = False
+                            break
+        finally:
+            # stops the pool strategy's workers; a no-op once exhausted
+            bindings.close()
+        if exhausted and sub is not None:
+            self._subplan_finalize(sub, ctx)
+        return ctx.result(
+            answers, plan.answer_vars, t_first, clock.now_ms - start_ms, exhausted
         )
 
     def stream(
@@ -332,109 +451,209 @@ class Executor:
     ) -> "Iterator[tuple[Value, ...]]":
         """Lazily yield projected answers, charging simulated time as the
         consumer pulls.  Abandoning the iterator abandons the remaining
-        (uncharged) work — the cursor/interactive building block."""
-        provenance: Counter = Counter()
-        stats = _RunStats(rng=self._fresh_rng())
-        self.clock.advance(self.init_overhead_ms)
-        for subst in self._solve(
-            plan.steps, 0, dict(initial_subst or {}), provenance, stats
-        ):
+        (uncharged) work — the cursor/interactive building block, so it
+        always solves inline (the pool strategy works ahead of its
+        consumer) and stays out of the subplan tier: the consumer decides
+        how long the enumeration stays open, and rows read before a
+        ``notify_source_changed`` must not be stored after it."""
+        _ctx, _sub, bindings = self._open(plan, initial_subst, lazy=True)
+        for subst in bindings:
             self.clock.advance(self.display_cost_ms)
             yield self._project(plan.answer_vars, subst)
 
+    def _open(
+        self,
+        plan: Plan,
+        initial_subst: Optional[dict[Variable, Term]],
+        trace: bool = False,
+        cancel_token: Optional[CancellationToken] = None,
+        lazy: bool = False,
+    ) -> tuple[_RunContext, Optional[_SubplanRun], Bindings]:
+        """Start one execution: the run context, its subplan-tier state and
+        the plan's binding stream under the strategy that fits.  A ``lazy``
+        execution (a cursor) is pulled at its consumer's pace: inline, and
+        outside the subplan tier."""
+        subst0: dict[Variable, Term] = dict(initial_subst or {})
+        if self.verify_plans:
+            # imported lazily: the executor must not pull the analysis
+            # package in on the hot path when the assertion is off
+            from repro.analysis.verifier import assert_plan_verified
+
+            assert_plan_verified(
+                plan, bound_vars=frozenset(subst0), registry=self.registry
+            )
+        clock = self.clock
+        ctx = _RunContext(
+            clock,
+            trace=[] if trace else None,
+            rng=self._fresh_rng(),
+            cancel_token=cancel_token,
+            start_ms=clock.now_ms,
+        )
+        clock.advance(self.init_overhead_ms)
+        sub = None if lazy else self._subplan_open(plan.steps, subst0, ctx)
+        if self.jobs > 1 and not lazy:
+            # imported lazily: repro.runtime builds on this module
+            from repro.runtime.dag import build_dag
+            from repro.runtime.scheduler import pool_bindings
+
+            dag = build_dag(plan, frozenset(subst0))
+            if len(dag.root_calls) > 1 or dag.first_dependent_call() is not None:
+                return ctx, sub, pool_bindings(self, plan, dag, subst0, ctx, sub)
+        return ctx, sub, self._bindings(plan.steps, sub, subst0, ctx)
+
+    def _bindings(
+        self,
+        tail: tuple[PlanStep, ...],
+        sub: Optional[_SubplanRun],
+        subst0: dict[Variable, Term],
+        ctx: _RunContext,
+        stop: Optional[int] = None,
+    ) -> Bindings:
+        """The inline strategy: ``tail``'s nested loops under ``ctx`` — the
+        whole plan, or ``steps[:cuts[stop - 1]]`` for the pool strategy's
+        outer loop.  Through the subplan tier when the run has one: replay
+        the hit (if any cut hit), then solve on to the end of ``tail``,
+        collecting the rows of ``cuts[hit + 1:stop]`` on the way."""
+        if sub is None:
+            return self._solve(tail, 0, subst0, ctx)
+        if stop is None:
+            stop = len(sub.cuts)
+        if sub.hit < 0:
+            return self._subplan_tee(sub, 0, stop, tail, 0, subst0, ctx)
+        return self._subplan_replay(sub, stop, tail, subst0, ctx)
+
     # -- subplan tier ---------------------------------------------------------
 
-    def _subplan_stream(
+    def _subplan_open(
         self,
         steps: tuple[PlanStep, ...],
         subst0: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-    ) -> tuple[Iterator[dict[Variable, Term]], Optional[Callable[[], None]]]:
-        """``_solve`` wrapped with the subplan tier.
-
-        On a hit the longest cached prefix is replayed (its source calls
-        never dispatch); on a miss the stream is *teed* — every cut's
-        bindings are collected as they flow past, preserving streaming
-        order and timing exactly.  Returns ``(iterator, finalize)`` where
-        ``finalize`` (miss path only) must be called only after the
-        stream ran to full, clean exhaustion.
-        """
+        ctx: _RunContext,
+    ) -> Optional[_SubplanRun]:
+        """Probe every cut of the plan, longest prefix first.  A hit is
+        adopted for replay (its source calls never dispatch); every cut
+        deeper than it gets a row collector."""
         cache = self.subplan
         if cache is None:
-            return self._solve(steps, 0, subst0, provenance, stats), None
+            return None
         cuts = subplan_cuts(steps)
         if not cuts:
-            return self._solve(steps, 0, subst0, provenance, stats), None
-        canons = [canonicalize_prefix(steps[:cut], subst0) for cut in cuts]
-        hit = cache.match(
-            [canon.key for canon in reversed(canons)], now_ms=self.clock.now_ms
-        )
-        if hit is not None:
-            key, entry = hit
+            return None
+        prefixes = [steps[:cut] for cut in cuts]
+        canons = [canonicalize_prefix(prefix, subst0) for prefix in prefixes]
+        now_ms = ctx.clock.now_ms
+        sub = _SubplanRun(cache, steps, cuts, prefixes, canons, now_ms)
+        found = cache.match([canon.key for canon in reversed(canons)], now_ms=now_ms)
+        if found is not None:
+            key, entry = found
             which = next(i for i, canon in enumerate(canons) if canon.key == key)
-            return (
-                self._subplan_replay(
-                    entry, canons[which], steps, cuts[which], subst0, provenance, stats
-                ),
-                None,
-            )
-        collectors: list[Optional[list[SubplanRow]]] = [[] for _ in cuts]
-        start_ms = self.clock.now_ms
+            self._subplan_adopt(sub, which, entry.rows, entry.cost_ms, ctx)
+        if sub.stored < len(cuts):
+            ctx.collectors = [[] for _ in cuts]
+        return sub
 
-        def segment(
-            which: int, subst: dict[Variable, Term]
-        ) -> Iterator[dict[Variable, Term]]:
-            lo = cuts[which - 1] if which > 0 else 0
-            if which == len(cuts):
-                yield from self._solve(steps, lo, subst, provenance, stats)
-                return
-            hi = cuts[which]
-            for out in self._solve(steps[:hi], lo, subst, provenance, stats):
-                rows = collectors[which]
-                if rows is not None:
-                    row = project_row(canons[which].var_order, out)
-                    if row is None:
-                        # an unground prefix variable: replaying this cut
-                        # later could not reconstruct the substitution
-                        collectors[which] = None
-                    else:
-                        rows.append(row)
-                yield from segment(which + 1, out)
-
-        def finalize() -> None:
-            elapsed = self.clock.now_ms - start_ms
-            total_calls = sum(1 for step in steps if isinstance(step, CallStep))
-            for which, cut in enumerate(cuts):
-                rows = collectors[which]
-                if rows is None:
-                    continue
-                prefix_calls = sum(
-                    1 for step in steps[:cut] if isinstance(step, CallStep)
-                )
-                cost_ms = elapsed * prefix_calls / max(total_calls, 1)
-                cache.put(canons[which], rows, now_ms=self.clock.now_ms, cost_ms=cost_ms)
-
-        return segment(0, subst0), finalize
+    def _subplan_adopt(
+        self,
+        sub: _SubplanRun,
+        which: int,
+        rows: tuple[SubplanRow, ...],
+        cost_ms: float,
+        ctx: _RunContext,
+    ) -> None:
+        """Replay ``rows`` in place of the prefix up to ``cuts[which]``."""
+        sub.hit = which
+        sub.rows = rows
+        sub.base_cost_ms = cost_ms
+        sub.stored = which + 1
+        ctx.clock.advance(replay_cost_ms(len(rows), self.memo_hit_cost_ms))
+        ctx.provenance["subplan"] += len(rows)
 
     def _subplan_replay(
         self,
-        entry: SubplanEntry,
-        canon: CanonicalPrefix,
-        steps: tuple[PlanStep, ...],
-        cut: int,
+        sub: _SubplanRun,
+        stop: int,
+        tail: tuple[PlanStep, ...],
         subst0: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-    ) -> Iterator[dict[Variable, Term]]:
-        """Feed the cached rows into the plan's tail in materialization
-        order (answer-sequence parity with a cold run)."""
-        self.clock.advance(replay_cost_ms(len(entry.rows), self.memo_hit_cost_ms))
-        provenance["subplan"] += len(entry.rows)
-        for row in entry.rows:
-            yield from self._solve(
-                steps, cut, row_subst(canon.var_order, row, subst0), provenance, stats
+        ctx: _RunContext,
+    ) -> Bindings:
+        """Feed the cached rows into the steps after their cut, in
+        materialization order (answer-sequence parity with a cold run)."""
+        cut = sub.cuts[sub.hit]
+        var_order = sub.canons[sub.hit].var_order
+        if sub.hit + 1 == stop:
+            # nothing deeper to collect
+            for row in sub.rows:
+                yield from self._solve(
+                    tail, cut, row_subst(var_order, row, subst0), ctx
+                )
+            return
+        for row in sub.rows:
+            yield from self._subplan_tee(
+                sub, sub.hit + 1, stop, tail, cut, row_subst(var_order, row, subst0), ctx
             )
+
+    def _subplan_tee(
+        self,
+        sub: _SubplanRun,
+        which: int,
+        stop: int,
+        tail: tuple[PlanStep, ...],
+        lo: int,
+        subst: dict[Variable, Term],
+        ctx: _RunContext,
+    ) -> Bindings:
+        """Solve ``tail`` on from step ``lo``, collecting into
+        ``ctx.collectors`` the bindings that stream past
+        ``cuts[which:stop]`` — streaming order and timing are exactly
+        ``_solve``'s."""
+        if which == stop:
+            yield from self._solve(tail, lo, subst, ctx)
+            return
+        collectors = ctx.collectors
+        assert collectors is not None
+        var_order = sub.canons[which].var_order
+        for out in self._solve(sub.prefixes[which], lo, subst, ctx):
+            rows = collectors[which]
+            if rows is not None:
+                row = project_row(var_order, out)
+                if row is None:
+                    # an unground prefix variable: replaying this cut
+                    # later could not reconstruct the substitution
+                    collectors[which] = None
+                else:
+                    rows.append(row)
+            yield from self._subplan_tee(
+                sub, which + 1, stop, tail, sub.cuts[which], out, ctx
+            )
+
+    def _subplan_finalize(self, sub: _SubplanRun, ctx: _RunContext) -> None:
+        """The one populate rule: store the collected cuts the cache lacks.
+        The caller invokes it only once every binding of the plan was
+        enumerated; it stores nothing unless the run is also clean."""
+        if sub.stored >= len(sub.cuts) or not ctx.clean():
+            return
+        assert ctx.collectors is not None
+        calls_before = [0]
+        for step in sub.steps:
+            calls_before.append(calls_before[-1] + isinstance(step, CallStep))
+        replayed = calls_before[sub.cuts[sub.hit]] if sub.hit >= 0 else 0
+        span = max(calls_before[-1] - replayed, 1)
+        now_ms = ctx.clock.now_ms
+        elapsed = now_ms - sub.opened_ms
+        for which in range(sub.stored, len(sub.cuts)):
+            rows = ctx.collectors[which]
+            if rows is None:
+                continue
+            # the prefix's share, by call count, of the work since the replay
+            share = (calls_before[sub.cuts[which]] - replayed) / span
+            sub.cache.put(
+                sub.canons[which],
+                rows,
+                now_ms=now_ms,
+                cost_ms=sub.base_cost_ms + elapsed * share,
+            )
+        sub.stored = len(sub.cuts)
 
     # -- evaluation core -----------------------------------------------------------
 
@@ -443,54 +662,42 @@ class Executor:
         steps: tuple,
         index: int,
         subst: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-    ) -> Iterator[dict[Variable, Term]]:
+        ctx: _RunContext,
+    ) -> Bindings:
         if index == len(steps):
             yield subst
             return
         step = steps[index]
         if isinstance(step, CompareStep):
-            yield from self._eval_comparison(
-                step.comparison, steps, index, subst, provenance, stats
-            )
+            yield from self._eval_comparison(step.comparison, steps, index, subst, ctx)
             return
         assert isinstance(step, CallStep)
         ground = step.atom.call.ground(subst)
-        memo_key = (ground, step.via_cim)
-        if self.memoize_calls and memo_key in stats.memo:
-            cached: CallResult = stats.memo[memo_key]
-            result = CallResult(
-                call=ground,
-                answers=cached.answers,
-                t_first_ms=self.memo_hit_cost_ms,
-                t_all_ms=self.memo_hit_cost_ms
-                + self.memo_hit_cost_ms * 0.1 * len(cached.answers),
-                provenance="memo",
-                complete=cached.complete,
-            )
+        if self.memoize_calls:
+            memo_key = (ground, step.via_cim)
+            cached = ctx.memo.get(memo_key)
+            if cached is not None:
+                result = self._at_memo_cost(ground, cached, "memo")
+            else:
+                result = ctx.memo[memo_key] = self._dispatch(ground, step.via_cim, ctx)
         else:
-            result = self._dispatch(ground, step.via_cim, stats)
-            if self.memoize_calls:
-                stats.memo[memo_key] = result
-        provenance[result.provenance] += 1
-        stats.calls += 1
+            result = self._dispatch(ground, step.via_cim, ctx)
+        ctx.provenance[result.provenance] += 1
+        ctx.calls += 1
         if not result.complete:
-            stats.incomplete_results += 1
-        if stats.trace is not None:
-            stats.trace.append(
+            ctx.complete = False
+        if ctx.trace is not None:
+            ctx.trace.append(
                 TraceEvent(
                     call=ground,
                     provenance=result.provenance,
                     cardinality=result.cardinality,
                     t_first_ms=result.t_first_ms,
                     t_all_ms=result.t_all_ms,
-                    at_ms=self.clock.now_ms,
+                    at_ms=ctx.clock.now_ms,
                 )
             )
-        yield from self._consume(
-            result, step, steps, index, subst, provenance, stats
-        )
+        yield from self._consume(result, step, steps, index, subst, ctx)
 
     def _consume(
         self,
@@ -499,13 +706,13 @@ class Executor:
         steps: tuple,
         index: int,
         subst: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-    ) -> Iterator[dict[Variable, Term]]:
+        ctx: _RunContext,
+    ) -> Bindings:
         """Stream a call's answers, charging simulated time per answer."""
+        clock = ctx.clock
         n = len(result.answers)
         if n == 0:
-            self.clock.advance(result.t_all_ms)
+            clock.advance(result.t_all_ms)
             return
         gap = (result.t_all_ms - result.t_first_ms) / (n - 1) if n > 1 else 0.0
         output = step.atom.output
@@ -518,23 +725,21 @@ class Executor:
         charged = 0.0
         for k, answer in enumerate(result.answers):
             delta = result.t_first_ms if k == 0 else gap
-            self.clock.advance(delta)
+            clock.advance(delta)
             charged += delta
             if is_test:
                 if answer == membership_value:
                     # membership confirmed; the rest of the stream is moot
-                    yield from self._solve(
-                        steps, index + 1, subst, provenance, stats
-                    )
+                    yield from self._solve(steps, index + 1, subst, ctx)
                     return
                 continue
             extended = unify(output, Constant(answer), subst)
             if extended is None:
                 continue
-            yield from self._solve(steps, index + 1, extended, provenance, stats)
+            yield from self._solve(steps, index + 1, extended, ctx)
         # single-answer calls carry their full duration on the one answer
         if n == 1 and result.t_all_ms > charged:
-            self.clock.advance(result.t_all_ms - charged)
+            clock.advance(result.t_all_ms - charged)
 
     def _eval_comparison(
         self,
@@ -542,14 +747,13 @@ class Executor:
         steps: tuple,
         index: int,
         subst: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-    ) -> Iterator[dict[Variable, Term]]:
+        ctx: _RunContext,
+    ) -> Bindings:
         left = resolve(comparison.left, subst)
         right = resolve(comparison.right, subst)
         if isinstance(left, Constant) and isinstance(right, Constant):
             if comparison.evaluate(subst):
-                yield from self._solve(steps, index + 1, subst, provenance, stats)
+                yield from self._solve(steps, index + 1, subst, ctx)
             return
         if comparison.op in ("=", "=="):
             extended = unify(left, right, subst)
@@ -559,7 +763,7 @@ class Executor:
                 or isinstance(left, Variable)
                 or isinstance(right, Variable)
             ):
-                yield from self._solve(steps, index + 1, extended, provenance, stats)
+                yield from self._solve(steps, index + 1, extended, ctx)
                 return
         raise NotGroundError(
             f"comparison {comparison} is not evaluable at execution time "
@@ -568,13 +772,48 @@ class Executor:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _dispatch(
-        self, call: GroundCall, via_cim: bool, stats: Optional[_RunStats] = None
-    ) -> CallResult:
-        if stats is not None and stats.cancel_token is not None:
+    def _dispatch(self, call: GroundCall, via_cim: bool, ctx: _RunContext) -> CallResult:
+        """One call step's result: cancellation → the run's prefetch table
+        → its single-flight group → the resilient dial."""
+        token = ctx.cancel_token
+        if token is not None:
             # checked before ANY network work so a cancelled/timed-out
             # query stops dialing sources immediately, mid-plan
-            stats.cancel_token.raise_if_cancelled(f"before dispatching {call}")
+            token.raise_if_cancelled(f"before dispatching {call}")
+        if ctx.prefetch is not None:
+            cached = ctx.prefetch.get((call, via_cim))
+            if cached is not None:
+                # the wave already paid the call's real latency
+                if self.metrics is not None:
+                    self.metrics.inc("runtime.prefetch_hits")
+                return self._at_memo_cost(call, cached, cached.provenance)
+        if ctx.flight is None:
+            return self._dial(call, via_cim, ctx)
+        # concurrent identical calls share one source round trip
+        result, _shared = ctx.flight.do(
+            (call, via_cim),
+            lambda: self._dial(call, via_cim, ctx),
+            cancelled=token.is_cancelled if token is not None else None,
+        )
+        return result
+
+    def _at_memo_cost(
+        self, call: GroundCall, cached: CallResult, provenance: str
+    ) -> CallResult:
+        """An already-paid-for result replayed at memo cost."""
+        base_ms = self.memo_hit_cost_ms
+        return CallResult(
+            call=call,
+            answers=cached.answers,
+            t_first_ms=base_ms,
+            t_all_ms=replay_cost_ms(len(cached.answers), base_ms),
+            provenance=provenance,
+            complete=cached.complete,
+        )
+
+    def _dial(self, call: GroundCall, via_cim: bool, ctx: _RunContext) -> CallResult:
+        """Reach the source under the retry policy, falling back to stale
+        or placeholder answers when it stays down, hedging when slow."""
         if self.metrics is not None:
             self.metrics.inc("executor.dispatches")
         if self.policy is None:
@@ -585,27 +824,21 @@ class Executor:
             except ReproError as exc:
                 if not self.partial_on_failure or not is_terminal_source_error(exc):
                     raise
-                return self._terminal_fallback(call, exc, stats)
-            return self._maybe_hedge(call, via_cim, result, stats)
+                return self._terminal_fallback(call, exc, ctx)
+            return self._maybe_hedge(call, via_cim, result, ctx)
 
         def on_retry(attempt: int, error: Exception, backoff_ms: float) -> None:
-            if stats is not None:
-                stats.retries += 1
+            ctx.retries += 1
             if self.metrics is not None:
                 self.metrics.inc("executor.retries")
                 self.metrics.inc("executor.backoff_ms", backoff_ms)
 
-        rng = (
-            stats.rng
-            if stats is not None and stats.rng is not None
-            else self._fresh_rng()
-        )
         try:
             result = run_with_retry(
                 lambda: self._dispatch_once(call, via_cim),
                 self.policy,
-                self.clock,
-                rng=rng,
+                ctx.clock,
+                rng=ctx.rng if ctx.rng is not None else self._fresh_rng(),
                 on_retry=on_retry,
             )
         except ReproError as exc:
@@ -614,23 +847,21 @@ class Executor:
             # retry/deadline budget spent (see repro.errors.classify)
             if not is_terminal_source_error(exc):
                 raise
-            return self._terminal_fallback(call, exc, stats)
-        return self._maybe_hedge(call, via_cim, result, stats)
+            return self._terminal_fallback(call, exc, ctx)
+        return self._maybe_hedge(call, via_cim, result, ctx)
 
     def _terminal_fallback(
-        self, call: GroundCall, exc: ReproError, stats: Optional[_RunStats]
+        self, call: GroundCall, exc: ReproError, ctx: _RunContext
     ) -> CallResult:
         """Degraded answers, an empty partial placeholder, or re-raise."""
         degraded = self._degraded_fallback(call)
         if degraded is not None:
-            if stats is not None:
-                stats.degraded += 1
+            ctx.degraded_calls += 1
             if self.metrics is not None:
                 self.metrics.inc("executor.degraded_calls")
             return degraded
         if self.partial_on_failure:
-            if stats is not None:
-                stats.missing_sources.add(call.domain)
+            ctx.missing_sources.add(call.domain)
             if self.metrics is not None:
                 self.metrics.inc("executor.missing_source_calls")
             return CallResult(
@@ -650,7 +881,7 @@ class Executor:
         call: GroundCall,
         via_cim: bool,
         result: CallResult,
-        stats: Optional[_RunStats],
+        ctx: _RunContext,
     ) -> CallResult:
         """Hedged requests: when the primary ran past this source's
         latency quantile, model a duplicate dispatched at that threshold
@@ -672,20 +903,29 @@ class Executor:
         threshold = self.health.hedge_threshold_ms(call.domain, self.hedge_policy)
         if threshold is None or result.t_all_ms <= threshold:
             return result
-        if stats is not None:
-            stats.hedges += 1
+        ctx.hedged_calls += 1
         if self.metrics is not None:
             self.metrics.inc("health.hedges")
         try:
-            hedge = self._hedge_dispatch(call, via_cim)
+            if ctx.flight is None:
+                hedge = self._dispatch_once(call, via_cim)
+            else:
+                # concurrent branches hedging the same slow call share one
+                # duplicate round trip; the salted key keeps the hedge
+                # distinct from the primary in-flight entry so it is a
+                # real second dial
+                token = ctx.cancel_token
+                hedge, _shared = ctx.flight.do(
+                    (call, via_cim, "hedge"),
+                    lambda: self._dispatch_once(call, via_cim),
+                    cancelled=token.is_cancelled if token is not None else None,
+                )
         except ReproError:
             # the hedge lost by failing; keep the primary
             return result
         hedged_t_all = threshold + hedge.t_all_ms
         if hedged_t_all >= result.t_all_ms:
             return result
-        if stats is not None:
-            stats.hedge_wins += 1
         if self.metrics is not None:
             self.metrics.inc("health.hedge_wins")
         return CallResult(
@@ -696,11 +936,6 @@ class Executor:
             provenance=hedge.provenance,
             complete=hedge.complete,
         )
-
-    def _hedge_dispatch(self, call: GroundCall, via_cim: bool) -> CallResult:
-        """One duplicate dispatch; the parallel runtime's branch executor
-        overrides this to dedupe concurrent hedges through SingleFlight."""
-        return self._dispatch_once(call, via_cim)
 
     def _dispatch_once(self, call: GroundCall, via_cim: bool) -> CallResult:
         if via_cim and self.cim is not None:

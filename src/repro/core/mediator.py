@@ -40,7 +40,13 @@ from repro.cim.cache import POLICY_COST, ResultCache
 from repro.cim.manager import CacheInvariantManager, CimPolicy
 from repro.core.answers import QueryResult
 from repro.core.estimator import PlanEstimate, RuleCostEstimator
-from repro.core.executor import ContinueCallback, Executor, MODE_ALL, MODE_INTERACTIVE
+from repro.core.executor import (
+    MODE_ALL,
+    MODE_INTERACTIVE,
+    ContinueCallback,
+    Executor,
+    merge_results,
+)
 from repro.core.model import GroundCall, Invariant, Program, Query, Rule
 from repro.core.parser import parse_invariant, parse_program, parse_query
 from repro.core.plancache import (
@@ -298,9 +304,9 @@ class Mediator:
             hedge_policy=hedge_policy,
             partial_on_failure=repair,
             subplan=self.subplan_cache if use_subplan_cache else None,
+            jobs=jobs or 1,
+            subplan_flight=self.subplan_flight,
         )
-        if jobs is not None and jobs > 1:
-            self.set_jobs(jobs)
         self._rewriter: Optional[Rewriter] = None
         # concurrent sessions may race the first query; without the lock
         # two threads could each build a Rewriter and split its state
@@ -511,48 +517,20 @@ class Mediator:
 
     @property
     def jobs(self) -> int:
-        """Worker count of the current execution engine (1 = sequential)."""
-        return int(getattr(self.executor, "jobs", 1))
+        """Worker count of the execution engine (1 = always inline)."""
+        return self.executor.jobs
 
     def set_jobs(self, jobs: int) -> None:
-        """Swap the execution engine between sequential and parallel.
+        """Set the execution engine's worker count.
 
-        ``jobs > 1`` installs a :class:`repro.runtime.ParallelExecutor`
-        with that many workers; ``jobs <= 1`` restores the sequential
-        :class:`~repro.core.executor.Executor`.  The new engine inherits
-        every knob of the old one (caches, clock, retry policy, ...), so
-        switching mid-session keeps all accumulated state.
+        The engine is one :class:`~repro.core.executor.Executor` whatever
+        the count: with ``jobs > 1`` a plan that has independent calls to
+        overlap runs on a pool of that many workers (``repro.runtime``);
+        everything else, and everything at ``jobs <= 1``, runs inline.
+        Only the count changes — every other knob and all accumulated
+        state stay where they are.
         """
-        old = self.executor
-        kwargs: dict[str, Any] = dict(
-            cim=old.cim,
-            dcsm=old.dcsm,
-            record_statistics=old.record_statistics,
-            init_overhead_ms=old.init_overhead_ms,
-            display_cost_ms=old.display_cost_ms,
-            memoize_calls=old.memoize_calls,
-            memo_hit_cost_ms=old.memo_hit_cost_ms,
-            policy=old.policy,
-            degrade_on_failure=old.degrade_on_failure,
-            metrics=old.metrics,
-            verify_plans=old.verify_plans,
-            health=old.health,
-            hedge_policy=old.hedge_policy,
-            partial_on_failure=old.partial_on_failure,
-            subplan=old.subplan,
-        )
-        if jobs is not None and jobs > 1:
-            from repro.runtime import ParallelExecutor
-
-            self.executor = ParallelExecutor(
-                old.registry,
-                old.clock,
-                jobs=jobs,
-                subplan_flight=self.subplan_flight,
-                **kwargs,
-            )
-        else:
-            self.executor = Executor(old.registry, old.clock, **kwargs)
+        self.executor.jobs = max(1, jobs)
 
     # -- registration -------------------------------------------------------------
 
@@ -974,12 +952,22 @@ class Mediator:
             query = parse_query(query)
         if semantics not in ("access-paths", "union"):
             raise PlanningError(f"unknown query semantics {semantics!r}")
-        if semantics == "union" and plan is None:
-            return self._query_union(
-                query, mode, use_cim, optimize, max_answers, deduplicate
-            )
         initial_subst = self._bindings_subst(bindings)
         bound_vars = frozenset(initial_subst)
+        run_kwargs: dict[str, Any] = dict(
+            mode=mode,
+            max_answers=max_answers,
+            batch_size=batch_size,
+            continue_callback=continue_callback,
+            initial_subst=initial_subst,
+            max_time_ms=max_time_ms,
+            trace=trace,
+            cancel_token=cancel_token,
+        )
+        if semantics == "union" and plan is None:
+            return self._query_union(
+                query, use_cim, optimize, deduplicate, bindings, run_kwargs
+            )
         candidates: tuple[Plan, ...]
         if plan is not None:
             candidates = (plan,)
@@ -1024,16 +1012,6 @@ class Mediator:
                     pass
 
         chosen_estimate = self._apply_predicate_first(query, chosen_estimate)
-        run_kwargs: dict[str, Any] = dict(
-            mode=mode,
-            max_answers=max_answers,
-            batch_size=batch_size,
-            continue_callback=continue_callback,
-            initial_subst=initial_subst,
-            max_time_ms=max_time_ms,
-            trace=trace,
-            cancel_token=cancel_token,
-        )
         execution = self.executor.run(chosen, **run_kwargs)
         if self.repair and execution.missing_sources:
             # self-healing: re-plan around the sources that just failed,
@@ -1092,13 +1070,12 @@ class Mediator:
                     plan = winner.plan if winner is not None else candidates[0]
                 else:
                     plan = candidates[0]
-        cursor = QueryCursor(self.executor, plan, self.clock)
-        if bindings:
-            # rebuild the stream with the initial substitution applied
-            cursor._stream = self.executor.stream(
-                plan, initial_subst=self._bindings_subst(bindings)
-            )
-        return cursor
+        return QueryCursor(
+            self.executor,
+            plan,
+            self.clock,
+            initial_subst=self._bindings_subst(bindings),
+        )
 
     def _observe_query(
         self,
@@ -1166,19 +1143,18 @@ class Mediator:
     def _query_union(
         self,
         query: Query,
-        mode: str,
         use_cim: CimRouting,
         optimize: bool,
-        max_answers: Optional[int],
         deduplicate: bool,
+        bindings: Optional[dict],
+        run_kwargs: dict[str, Any],
     ) -> QueryResult:
         """Union semantics: run one best ordering per rule-choice branch
-        and merge the answers."""
-        from collections import Counter
-
-        from repro.core.executor import ExecutionResult
-
-        candidates = self.plans(query, use_cim)
+        and merge the answers.  ``run_kwargs`` are the caller's execution
+        options; the answer, time and interactive limits span the union."""
+        objective = "first" if run_kwargs["mode"] == MODE_INTERACTIVE else "all"
+        bound_vars = frozenset(run_kwargs["initial_subst"])
+        candidates = self.plans(query, use_cim, bindings=bindings)
         branches: dict[str, list[Plan]] = {}
         for candidate in candidates:
             branches.setdefault(candidate.origin, []).append(candidate)
@@ -1187,8 +1163,9 @@ class Mediator:
         chosen_estimates: list[Optional[PlanEstimate]] = []
         for plans in branches.values():
             if optimize and len(plans) > 1:
-                objective = "first" if mode == MODE_INTERACTIVE else "all"
-                winner, __ = self.cost_estimator.choose(plans, objective=objective)
+                winner, __ = self.cost_estimator.choose(
+                    plans, objective=objective, bound_vars=bound_vars
+                )
                 chosen_plans.append(winner.plan if winner else plans[0])
                 chosen_estimates.append(winner)
             else:
@@ -1198,73 +1175,66 @@ class Mediator:
                 except Exception:
                     chosen_estimates.append(None)
 
+        max_answers = run_kwargs["max_answers"]
+        max_time_ms = run_kwargs["max_time_ms"]
+        continue_callback = run_kwargs["continue_callback"]
         answers: list[tuple] = []
         seen: set[tuple] = set()
-        provenance: Counter = Counter()
-        calls = 0
-        retries = 0
-        degraded_calls = 0
-        hedged_calls = 0
-        missing_sources: set[str] = set()
         t_first: Optional[float] = None
+        exhausted = True
+        stopped = False
+
+        def on_batch(batch: list[tuple], branch_total: int) -> bool:
+            nonlocal stopped
+            stopped = not continue_callback(batch, len(answers) + branch_total)
+            return not stopped
+
         start_ms = self.clock.now_ms
-        complete = True
-        answer_vars = query.answer_vars
-        for branch_plan in chosen_plans:
-            remaining = (
-                None if max_answers is None else max_answers - len(answers)
-            )
-            if remaining is not None and remaining <= 0:
-                complete = False
+        executions: list["ExecutionResult"] = []
+        for index, branch_plan in enumerate(chosen_plans):
+            elapsed = self.clock.now_ms - start_ms
+            limits = dict(run_kwargs)
+            if max_answers is not None:
+                limits["max_answers"] = max_answers - len(answers)
+            if max_time_ms is not None:
+                limits["max_time_ms"] = max_time_ms - elapsed
+            if continue_callback is not None:
+                limits["continue_callback"] = on_batch
+            if index and (
+                stopped
+                or (max_answers is not None and limits["max_answers"] <= 0)
+                or (max_time_ms is not None and limits["max_time_ms"] <= 0)
+            ):
+                exhausted = False
                 break
-            execution = self.executor.run(
-                branch_plan, mode=mode, max_answers=remaining
-            )
-            provenance.update(execution.provenance)
-            calls += execution.calls
-            retries += execution.retries
-            degraded_calls += execution.degraded_calls
-            hedged_calls += execution.hedged_calls
-            missing_sources |= execution.missing_sources
-            complete = complete and execution.complete
-            elapsed_before_branch = (
-                self.clock.now_ms - start_ms - execution.t_all_ms
-            )
+            execution = self.executor.run(branch_plan, **limits)
+            executions.append(execution)
+            if t_first is None and execution.t_first_ms is not None:
+                t_first = elapsed + execution.t_first_ms
             for answer in execution.answers:
                 if deduplicate:
                     if answer in seen:
                         continue
                     seen.add(answer)
                 answers.append(answer)
-            if (
-                t_first is None
-                and execution.answers
-                and execution.t_first_ms is not None
-            ):
-                t_first = elapsed_before_branch + execution.t_first_ms
-        merged = ExecutionResult(
-            answers=tuple(answers),
-            answer_vars=answer_vars,
-            t_first_ms=t_first,
-            t_all_ms=self.clock.now_ms - start_ms,
-            complete=complete,
-            calls=calls,
-            provenance=provenance,
-            retries=retries,
-            degraded_calls=degraded_calls,
-            hedged_calls=hedged_calls,
-            missing_sources=frozenset(missing_sources),
+        union = merge_results(
+            executions,
+            answers,
+            query.answer_vars,
+            t_first,
+            self.clock.now_ms - start_ms,
+            exhausted,
         )
         # no estimate-error sample here: branch estimates do not price the union
-        self._observe_query(merged, None)
+        self._observe_query(union, None)
         return QueryResult(
             query=query,
-            execution=merged,
+            execution=union,
             chosen=chosen_plans[0],
             chosen_estimate=chosen_estimates[0] if chosen_estimates else None,
             candidate_plans=candidates,
             estimates=tuple(chosen_estimates),
-            completeness=Completeness.of(merged),
+            completeness=Completeness.of(union),
         )
 
     # -- training helpers (experiments) ----------------------------------------------

@@ -1,25 +1,28 @@
-"""The thread-pool scheduler: overlap independent source calls.
+"""The worker-pool dispatch strategy: overlap independent source calls.
 
-The sequential executor walks a plan's nested loops one call at a time,
-so a query over four independent wide-area sources pays the *sum* of
-their latencies.  The paper's cost model (§5–§8) makes those latencies
-the dominant term — which means the dominant speedup is overlapping
-them.  :class:`ParallelExecutor` does exactly that, in two phases:
+The inline strategy walks a plan's nested loops one call at a time, so a
+query over four independent wide-area sources pays the *sum* of their
+latencies.  The paper's cost model (§5–§8) makes those latencies the
+dominant term — which means the dominant speedup is overlapping them.
+:func:`pool_bindings` is the binding stream
+:class:`~repro.core.executor.Executor` consumes when ``jobs > 1`` and the
+plan's DAG has something to overlap; it does exactly that, in two phases:
 
 **Wave 0 — root prefetch.**  :func:`repro.runtime.dag.build_dag` finds
 the call steps that are ground the moment execution starts (no step
 feeds them).  All of them are dispatched together on the worker pool;
-their results are kept in a prefetch table and *replayed* at memo cost
-when the nested loops later consume them, so the loops only pay each
+their results are kept in the run's prefetch table and *replayed* at memo
+cost when the nested loops later consume them, so the loops only pay each
 root's latency once — and all roots pay it at the same time.
 
 **Phase B — partitioned nested loop.**  The first call step that
 *depends* on an earlier step's output is the fan-out point: the plan
 prefix up to it is enumerated (cheap — the roots replay from the
 prefetch table), and each outer binding becomes one branch task that
-runs the plan suffix on its own worker.  Branch answers are merged in
-the original binding order, so the answer *sequence* matches the
-sequential executor's — multiset equality is by construction, not luck.
+solves the plan suffix under a child run context on its own worker.
+Branches are merged in the original binding order, so the answer
+*sequence* matches the inline strategy's — multiset equality is by
+construction, not luck.
 
 **Simulated time under real threads.**  All timing in this repository
 is virtual (:class:`~repro.net.clock.SimClock`).  Real threads do the
@@ -33,59 +36,43 @@ through the single-flight layer charges the full call duration (it
 really would have waited), and fault-injection latencies land on the
 shared clock directly.
 
-**Cancellation.**  ``max_answers``, interactive stop, ``max_time_ms``,
-or a failing branch set the run's :class:`CancellationToken` — the
-runtime analogue of HERMES killing still-running external programs
-(§3).  Workers check the token before starting a queued task and
-between answers; tasks that never ran count toward
-``runtime.cancelled``.  Branch submission is windowed (queue capacity +
-worker count) so a small ``max_answers`` never floods the queue with
-work it is about to abandon.
+**Cancellation.**  ``max_answers``, interactive stop, ``max_time_ms``
+(the consumer closing the stream), or a failing branch set the run's
+:class:`CancellationToken` — the runtime analogue of HERMES killing
+still-running external programs (§3).  Workers check the token before
+starting a queued task and between answers; tasks that never ran count
+toward ``runtime.cancelled``.  Branch submission is windowed (queue
+capacity + worker count) so a small ``max_answers`` never floods the
+queue with work it is about to abandon.
+
+**Subplan tier.**  The run's cuts are probed once, before the wave (a
+replayed prefix's roots are not prefetched).  Cuts up to the fan-out
+point are teed while the outer bindings are enumerated — through the
+mediator-owned single-flight, so a concurrent query with the same
+canonical prefix consumes this query's rows instead of dialing the
+sources itself.  Deeper cuts are teed inside the branches, each into its
+child context's collectors, concatenated in binding order as the branches
+merge.  The executor stores all of them after full, clean exhaustion —
+the same rule, the same entries, as the inline strategy.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from collections import Counter
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
-from repro.core.executor import (
-    MODE_ALL,
-    MODE_INTERACTIVE,
-    ContinueCallback,
-    ExecutionResult,
-    Executor,
-    TraceEvent,
-    _RunStats,
-)
-from repro.core.model import GroundCall
-from repro.core.plans import CallStep, Plan
-from repro.core.subplan import (
-    CanonicalPrefix,
-    SubplanRow,
-    canonicalize_prefix,
-    project_row,
-    replay_cost_ms,
-    row_subst,
-    subplan_cuts,
-)
 from repro.cancellation import CancellationToken
-from repro.core.terms import Term, Value, Variable
-from repro.domains.base import CallResult
+from repro.core.executor import Bindings, CallKey, Executor, _RunContext, _SubplanRun
+from repro.core.plans import CallStep, Plan
+from repro.core.terms import Term, Variable
 from repro.errors import ErrorClass, ExecutionCancelledError, ReproError, classify
 from repro.metrics import MetricsRegistry
-from repro.net.clock import SimClock
-from repro.runtime.dag import build_dag
+from repro.runtime.dag import PlanDag
 from repro.runtime.singleflight import SingleFlight
 
-#: A prefetch/single-flight key: one ground call and its routing.
-CallKey = tuple[GroundCall, bool]
-
-
-__all__ = ["CancellationToken", "ParallelExecutor", "WorkerPool"]
+__all__ = ["CancellationToken", "WorkerPool", "pool_bindings"]
 
 
 class WorkerPool:
@@ -187,709 +174,242 @@ class WorkerPool:
             thread.join(timeout=30.0)
 
 
-@dataclass
-class _BranchOutcome:
-    """What one branch task (one outer binding) produced."""
-
-    index: int
-    answers: list[tuple[Value, ...]]
-    duration_ms: float  # branch-private simulated elapsed
-    first_offset_ms: Optional[float]  # branch instant of its first answer
-    stats: _RunStats
-    provenance: Counter = field(default_factory=Counter)
-    trace: tuple[TraceEvent, ...] = ()
-
-
-class _BranchExecutor(Executor):
-    """A sequential executor bound to one task's private clock.
-
-    Differences from the base class, all in ``_dispatch``:
-
-    * checks the run's cancellation token first;
-    * answers from the run's prefetch table at memo cost (the wave
-      already paid the call's real latency);
-    * routes real dispatches through the run's single-flight group so
-      concurrent identical calls share one source round trip.
-    """
-
-    def __init__(
-        self,
-        source: Executor,
-        clock: SimClock,
-        prefetch: Optional[dict[CallKey, CallResult]] = None,
-        flight: Optional[SingleFlight] = None,
-        token: Optional[CancellationToken] = None,
-    ):
-        super().__init__(
-            source.registry,
-            clock,
-            cim=source.cim,
-            dcsm=source.dcsm,
-            record_statistics=source.record_statistics,
-            init_overhead_ms=0.0,
-            display_cost_ms=source.display_cost_ms,
-            memoize_calls=source.memoize_calls,
-            memo_hit_cost_ms=source.memo_hit_cost_ms,
-            policy=source.policy,
-            degrade_on_failure=source.degrade_on_failure,
-            metrics=source.metrics,
-            verify_plans=False,
-            health=source.health,
-            hedge_policy=source.hedge_policy,
-            partial_on_failure=source.partial_on_failure,
-        )
-        self.prefetch = prefetch
-        self.flight = flight
-        self.token = token
-
-    def _replay(self, call: GroundCall, cached: CallResult) -> CallResult:
-        """A prefetched result at memo cost (latency was paid by the wave)."""
-        n = len(cached.answers)
-        return CallResult(
-            call=call,
-            answers=cached.answers,
-            t_first_ms=self.memo_hit_cost_ms,
-            t_all_ms=self.memo_hit_cost_ms + self.memo_hit_cost_ms * 0.1 * n,
-            provenance=cached.provenance,
-            complete=cached.complete,
-        )
-
-    def _dispatch(
-        self, call: GroundCall, via_cim: bool, stats: Optional[_RunStats] = None
-    ) -> CallResult:
-        if self.token is not None:
-            self.token.raise_if_cancelled(f"before dispatching {call}")
-        key: CallKey = (call, via_cim)
-        if self.prefetch is not None:
-            cached = self.prefetch.get(key)
-            if cached is not None:
-                if self.metrics is not None:
-                    self.metrics.inc("runtime.prefetch_hits")
-                return self._replay(call, cached)
-        if self.flight is None:
-            return super()._dispatch(call, via_cim, stats)
-        base_dispatch = super()._dispatch
-        cancelled = self.token.is_cancelled if self.token is not None else None
-        result, _shared = self.flight.do(
-            key, lambda: base_dispatch(call, via_cim, stats), cancelled=cancelled
-        )
-        return result
-
-    def _hedge_dispatch(self, call: GroundCall, via_cim: bool) -> CallResult:
-        # concurrent branches hedging the same slow call share one
-        # duplicate round trip; the salted key keeps the hedge distinct
-        # from the primary in-flight entry so it is a real second dial
-        if self.flight is None:
-            return super()._hedge_dispatch(call, via_cim)
-        cancelled = self.token.is_cancelled if self.token is not None else None
-        result, _shared = self.flight.do(
-            (call, via_cim, "hedge"),
-            lambda: self._dispatch_once(call, via_cim),
-            cancelled=cancelled,
-        )
-        return result
-
-
-class ParallelExecutor(Executor):
-    """Executes plans with overlapped independent calls.
-
-    Drop-in for :class:`~repro.core.executor.Executor`: ``run`` keeps
-    the full :class:`ExecutionResult` contract and returns the same
-    answer multiset (in fact the same answer *sequence*) as the
-    sequential executor.  ``jobs <= 1``, and plans with nothing to
-    overlap, delegate to the sequential implementation outright.
-    """
-
-    def __init__(
-        self,
-        *args: Any,
-        jobs: int = 4,
-        queue_capacity: Optional[int] = None,
-        subplan_flight: Optional[SingleFlight] = None,
-        **kwargs: Any,
-    ):
-        super().__init__(*args, **kwargs)
-        self.jobs = max(1, int(jobs))
-        self.queue_capacity = (
-            queue_capacity if queue_capacity is not None else 2 * self.jobs
-        )
-        # single-flight lifted from ground calls to subplan keys: unlike
-        # the per-run flight created in run(), this one is shared across
-        # runs (the mediator owns it) so one concurrent query's prefix
-        # materialization feeds another query's
-        self.subplan_flight = subplan_flight
-
-    # -- public API -----------------------------------------------------------
-
-    def run(
-        self,
-        plan: Plan,
-        mode: str = MODE_ALL,
-        max_answers: Optional[int] = None,
-        batch_size: int = 10,
-        continue_callback: Optional[ContinueCallback] = None,
-        initial_subst: Optional[dict[Variable, Term]] = None,
-        max_time_ms: Optional[float] = None,
-        trace: bool = False,
-        cancel_token: Optional[CancellationToken] = None,
-    ) -> ExecutionResult:
-        base_subst: dict[Variable, Term] = dict(initial_subst or {})
-        dag = build_dag(plan, frozenset(base_subst))
-        roots = dag.root_calls
+def pool_bindings(
+    executor: Executor,
+    plan: Plan,
+    dag: PlanDag,
+    subst0: dict[Variable, Term],
+    ctx: _RunContext,
+    sub: Optional[_SubplanRun],
+) -> Bindings:
+    """``plan``'s bindings with independent calls overlapped on a worker
+    pool, in the inline strategy's order.  The consumer closing the stream
+    (it has enough answers) cancels whatever is still queued or running."""
+    metrics = executor.metrics
+    if metrics is not None:
+        metrics.inc("runtime.runs")
+    # the run's internal token is linked to the caller's request token
+    # (serving-tier cancel/deadline/disconnect): an external cancel stops
+    # every worker, while the teardown below never marks the caller's
+    # request cancelled
+    token = ctx.cancel_token = CancellationToken(parent=ctx.cancel_token)
+    ctx.flight = SingleFlight(metrics)
+    ctx.prefetch = {}
+    pool = WorkerPool(executor.jobs, token=token, metrics=metrics)
+    try:
+        replayed = sub.cuts[sub.hit] if sub is not None and sub.hit >= 0 else 0
+        wave_keys = _wave_keys(plan, dag.root_calls, replayed, subst0)
+        if len(wave_keys) > 1:
+            _run_wave(executor, wave_keys, pool, ctx)
         fanout = dag.first_dependent_call()
-        if self.jobs <= 1 or (len(roots) <= 1 and fanout is None):
-            # nothing to overlap: behave exactly like the sequential engine
-            return super().run(
-                plan,
-                mode=mode,
-                max_answers=max_answers,
-                batch_size=batch_size,
-                continue_callback=continue_callback,
-                initial_subst=initial_subst,
-                max_time_ms=max_time_ms,
-                trace=trace,
-                cancel_token=cancel_token,
-            )
-        if mode not in (MODE_ALL, MODE_INTERACTIVE):
-            raise ReproError(f"unknown execution mode {mode!r}")
-        if self.verify_plans:
-            from repro.analysis.verifier import assert_plan_verified
+        if fanout is None:
+            # every call was prefetched: the nested loops run right here,
+            # replaying the wave at memo cost
+            yield from executor._bindings(plan.steps, sub, subst0, ctx)
+        else:
+            yield from _fan_out(executor, plan, fanout, subst0, ctx, sub, pool)
+    finally:
+        token.cancel()
+        pool.shutdown()
 
-            assert_plan_verified(
-                plan, bound_vars=frozenset(base_subst), registry=self.registry
-            )
-        if self.metrics is not None:
-            self.metrics.inc("runtime.runs")
 
-        provenance: Counter = Counter()
-        stats = _RunStats(trace=[] if trace else None, rng=self._fresh_rng())
-        start_ms = self.clock.now_ms
-        self.clock.advance(self.init_overhead_ms)
+# -- wave 0: concurrent root prefetch -----------------------------------------
 
-        # the run's internal token is linked to the caller's request token
-        # (serving-tier cancel/deadline/disconnect): an external cancel
-        # stops every worker, while the normal-completion teardown in the
-        # finally block below never marks the caller's request cancelled
-        token = CancellationToken(parent=cancel_token)
-        flight = SingleFlight(self.metrics)
-        prefetch: dict[CallKey, CallResult] = {}
-        pool = WorkerPool(
-            self.jobs,
-            queue_capacity=self.queue_capacity,
-            token=token,
-            metrics=self.metrics,
-        )
-        cancelled_count = 0
-        try:
-            wave_keys = self._wave_keys(plan, roots, base_subst)
-            if len(wave_keys) > 1:
-                self._run_wave(wave_keys, pool, flight, token, prefetch, stats)
-            consumer = _BranchExecutor(
-                self, self.clock, prefetch=prefetch, flight=flight, token=token
-            )
-            if fanout is None:
-                answers, t_first, early = self._merge_inline(
-                    consumer,
-                    plan,
-                    base_subst,
-                    provenance,
-                    stats,
-                    mode,
-                    max_answers,
-                    batch_size,
-                    continue_callback,
-                    max_time_ms,
-                    start_ms,
-                )
-            else:
-                answers, t_first, early, cancelled_count = self._fan_out(
-                    consumer,
-                    plan,
-                    fanout,
-                    base_subst,
-                    provenance,
-                    stats,
-                    pool,
-                    prefetch,
-                    flight,
-                    token,
-                    mode,
-                    max_answers,
-                    batch_size,
-                    continue_callback,
-                    max_time_ms,
-                    start_ms,
-                    trace,
-                )
-        finally:
-            token.cancel()
-            pool.shutdown()
-            if cancelled_count and self.metrics is not None:
-                self.metrics.inc("runtime.cancelled", float(cancelled_count))
 
-        if cancel_token is not None and cancel_token.is_cancelled():
-            # an external cancel mid-merge is swallowed by the branch
-            # drain above (each branch reports ExecutionCancelledError);
-            # the run as a whole must still surface as cancelled, never
-            # as a silently truncated-but-"complete" result
-            cancel_token.raise_if_cancelled("run cancelled externally")
-        t_all = self.clock.now_ms - start_ms
-        return ExecutionResult(
-            answers=tuple(answers),
-            answer_vars=plan.answer_vars,
-            t_first_ms=t_first,
-            t_all_ms=t_all,
-            complete=(not early) and stats.incomplete_results == 0,
-            calls=stats.calls,
-            provenance=provenance,
-            trace=tuple(stats.trace) if stats.trace is not None else (),
-            retries=stats.retries,
-            degraded_calls=stats.degraded,
-            hedged_calls=stats.hedges,
-            missing_sources=frozenset(stats.missing_sources),
-        )
+def _wave_keys(
+    plan: Plan,
+    roots: tuple[int, ...],
+    replayed: int,
+    subst0: dict[Variable, Term],
+) -> list[CallKey]:
+    """The distinct ground calls of the plan's independent root steps that
+    a subplan replay does not already cover (``steps[:replayed]``)."""
+    keys: list[CallKey] = []
+    for index in roots:
+        if index < replayed:
+            continue
+        step = plan.steps[index]
+        assert isinstance(step, CallStep)
+        key: CallKey = (step.atom.call.ground(subst0), step.via_cim)
+        if key not in keys:
+            keys.append(key)
+    return keys
 
-    # -- wave 0: concurrent root prefetch -------------------------------------
 
-    def _wave_keys(
-        self,
-        plan: Plan,
-        roots: tuple[int, ...],
-        base_subst: dict[Variable, Term],
-    ) -> list[CallKey]:
-        """The distinct ground calls of the plan's independent root steps."""
-        keys: list[CallKey] = []
-        seen: set[CallKey] = set()
-        for index in roots:
-            step = plan.steps[index]
-            assert isinstance(step, CallStep)
-            ground = step.atom.call.ground(base_subst)
-            key: CallKey = (ground, step.via_cim)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        return keys
+def _run_wave(
+    executor: Executor, wave_keys: list[CallKey], pool: WorkerPool, ctx: _RunContext
+) -> None:
+    """Dispatch all independent roots concurrently; advance the shared
+    clock by the wave's makespan.  Each task eagerly charges the full
+    ``T_all`` of its call (honest work-ahead); consumption later replays
+    the result at memo cost."""
+    phase_start = ctx.clock.now_ms
+    if executor.metrics is not None:
+        executor.metrics.inc("runtime.wave_calls", float(len(wave_keys)))
 
-    def _run_wave(
-        self,
-        wave_keys: list[CallKey],
-        pool: WorkerPool,
-        flight: SingleFlight,
-        token: CancellationToken,
-        prefetch: dict[CallKey, CallResult],
-        stats: _RunStats,
-    ) -> None:
-        """Dispatch all independent roots concurrently; advance the shared
-        clock by the wave's makespan.  Each task eagerly charges the full
-        ``T_all`` of its call (honest work-ahead); consumption later
-        replays the result at memo cost."""
-        phase_start = self.clock.now_ms
-        if self.metrics is not None:
-            self.metrics.inc("runtime.wave_calls", float(len(wave_keys)))
-        futures = [
-            pool.submit(self._make_wave_task(key, salt, phase_start, flight, token))
-            for salt, key in enumerate(wave_keys)
-        ]
-        worker_free = [0.0] * self.jobs
-        error: Optional[BaseException] = None
-        for future, key in zip(futures, wave_keys):
-            if error is not None:
-                try:
-                    future.result()
-                except BaseException:
-                    pass
-                continue
-            try:
-                result, charged_ms, task_stats = future.result()
-            except BaseException as exc:
-                # fail like the sequential engine would on reaching this
-                # call: stop the remaining wave and propagate
-                error = exc
-                token.cancel()
-                continue
-            prefetch[key] = result
-            stats.retries += task_stats.retries
-            stats.degraded += task_stats.degraded
-            stats.hedges += task_stats.hedges
-            stats.hedge_wins += task_stats.hedge_wins
-            stats.missing_sources |= task_stats.missing_sources
-            slot = min(range(self.jobs), key=worker_free.__getitem__)
-            worker_free[slot] += charged_ms + result.t_all_ms
-        if error is not None:
-            raise error
-        self.clock.advance(max(worker_free))
-
-    def _make_wave_task(
-        self,
-        key: CallKey,
-        salt: int,
-        phase_start_ms: float,
-        flight: SingleFlight,
-        token: CancellationToken,
-    ) -> Callable[[], tuple[CallResult, float, _RunStats]]:
-        call, via_cim = key
-
-        def task() -> tuple[CallResult, float, _RunStats]:
-            local_clock = SimClock(phase_start_ms)
-            helper = _BranchExecutor(
-                self, local_clock, prefetch=None, flight=flight, token=token
-            )
-            task_stats = _RunStats(rng=self._fresh_rng(salt + 1))
-            result = helper._dispatch(call, via_cim, task_stats)
-            # retry backoff / fault latency landed on the private clock
-            return result, local_clock.now_ms - phase_start_ms, task_stats
+    def make_task(key: CallKey, salt: int) -> Callable[[], tuple[Any, _RunContext]]:
+        def task() -> tuple[Any, _RunContext]:
+            # retry backoff / fault latency land on the private clock
+            child = ctx.child(phase_start, executor._fresh_rng(salt + 1))
+            return executor._dispatch(key[0], key[1], child), child
 
         return task
 
-    # -- inline consumption (every call independent) ---------------------------
+    futures = [
+        pool.submit(make_task(key, salt)) for salt, key in enumerate(wave_keys)
+    ]
+    assert ctx.prefetch is not None and ctx.cancel_token is not None
+    worker_free = [0.0] * pool.jobs
+    error: Optional[BaseException] = None
+    for future, key in zip(futures, wave_keys):
+        try:
+            result, child = future.result()
+        except BaseException as exc:
+            if error is None:
+                # fail like the inline strategy would on reaching this
+                # call: stop the remaining wave and propagate
+                error = exc
+                ctx.cancel_token.cancel()
+            continue
+        if error is not None:
+            continue
+        ctx.prefetch[key] = result
+        ctx.absorb(child)
+        slot = min(range(pool.jobs), key=worker_free.__getitem__)
+        worker_free[slot] += (child.clock.now_ms - phase_start) + result.t_all_ms
+    if error is not None:
+        raise error
+    ctx.clock.advance(max(worker_free))
 
-    def _merge_inline(
-        self,
-        consumer: _BranchExecutor,
-        plan: Plan,
-        base_subst: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-        mode: str,
-        max_answers: Optional[int],
-        batch_size: int,
-        continue_callback: Optional[ContinueCallback],
-        max_time_ms: Optional[float],
-        start_ms: float,
-    ) -> tuple[list[tuple[Value, ...]], Optional[float], bool]:
-        """All calls were prefetched: run the nested loops on the shared
-        clock (replays are memo-cheap) with the base answer-loop rules."""
-        answers: list[tuple[Value, ...]] = []
-        t_first: Optional[float] = None
-        early = False
-        batch: list[tuple[Value, ...]] = []
-        for subst in consumer._solve(plan.steps, 0, base_subst, provenance, stats):
-            answer = self._project(plan.answer_vars, subst)
-            self.clock.advance(self.display_cost_ms)
-            if t_first is None:
-                t_first = self.clock.now_ms - start_ms
-            answers.append(answer)
-            if max_answers is not None and len(answers) >= max_answers:
-                early = True
-                break
-            if max_time_ms is not None and self.clock.now_ms - start_ms >= max_time_ms:
-                early = True
-                break
-            if mode == MODE_INTERACTIVE:
-                batch.append(answer)
-                if len(batch) >= batch_size:
-                    keep_going = (
-                        continue_callback(batch, len(answers))
-                        if continue_callback is not None
-                        else True
-                    )
-                    batch = []
-                    if not keep_going:
-                        early = True
-                        break
-        return answers, t_first, early
 
-    # -- subplan tier at the fan-out boundary ----------------------------------
+# -- phase B: partitioned nested loop -----------------------------------------
 
-    def _subplan_outer(
-        self,
-        consumer: _BranchExecutor,
-        plan: Plan,
-        fanout: int,
-        base_subst: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-        token: CancellationToken,
-    ) -> list[dict[Variable, Term]]:
-        """Outer-loop enumeration with the subplan tier.
 
-        A cached prefix at (or before) the fan-out point replaces its
-        source calls with a replay; a miss materializes the fan-out cut
-        through the mediator-owned single-flight, so a concurrent query
-        with the same canonical prefix consumes this query's rows instead
-        of dialing the sources itself (``subplan.shared_flights``).  Rows
-        — not substitutions — cross the flight: they are canonical value
-        tuples, safe to rebind against another query's variables.
-        """
-        steps = plan.steps
+def _outer_bindings(
+    executor: Executor,
+    steps: tuple,
+    fanout: int,
+    subst0: dict[Variable, Term],
+    ctx: _RunContext,
+    sub: Optional[_SubplanRun],
+) -> tuple[list[dict[Variable, Term]], int, int]:
+    """Enumerate the outer loop.  Returns the outer bindings, the step the
+    branches resume at, and the first cut that lies inside the branches."""
+    if sub is None or (sub.hit < 0 and fanout not in sub.cuts):
+        # (a fan-out point that is no cut has no call, hence no cut, before it)
+        return list(executor._solve(steps[:fanout], 0, subst0, ctx)), fanout, 0
+    if sub.hit >= 0 and sub.cuts[sub.hit] >= fanout:
+        # the replayed prefix covers the whole outer loop: fan out its rows
+        stop = sub.hit + 1
+    else:
+        stop = sub.cuts.index(fanout) + 1
+    boundary = sub.prefixes[stop - 1]
 
-        def solve_span(lo: int, subst: dict[Variable, Term]) -> list[dict[Variable, Term]]:
-            return [
-                dict(out)
-                for out in consumer._solve(steps[:fanout], lo, subst, provenance, stats)
-            ]
+    def materialize() -> tuple[Optional[tuple], list[dict[Variable, Term]]]:
+        outer = list(executor._bindings(boundary, sub, subst0, ctx, stop))
+        # only a clean, fully enumerated prefix is handed to other queries
+        rows = ctx.collectors[stop - 1] if ctx.collectors and ctx.clean() else None
+        return (None if rows is None else tuple(rows)), outer
 
-        cache = self.subplan
-        if cache is None:
-            return solve_span(0, base_subst)
-        cuts = [cut for cut in subplan_cuts(steps) if cut <= fanout]
-        if not cuts:
-            return solve_span(0, base_subst)
-        canons = {cut: canonicalize_prefix(steps[:cut], base_subst) for cut in cuts}
-        ordered = sorted(cuts, reverse=True)
-        hit = cache.match(
-            [canons[cut].key for cut in ordered], now_ms=self.clock.now_ms
-        )
-        if hit is not None:
-            key, entry = hit
-            cut = next(c for c in ordered if canons[c].key == key)
-            self.clock.advance(replay_cost_ms(len(entry.rows), self.memo_hit_cost_ms))
-            provenance["subplan"] += len(entry.rows)
-            var_order = canons[cut].var_order
-            if cut == fanout:
-                return [row_subst(var_order, row, base_subst) for row in entry.rows]
-            incomplete_before = stats.incomplete_results
-            degraded_before = stats.degraded
-            missing_before = len(stats.missing_sources)
-            start_ms = self.clock.now_ms
-            outer: list[dict[Variable, Term]] = []
-            for row in entry.rows:
-                outer.extend(solve_span(cut, row_subst(var_order, row, base_subst)))
-            clean = (
-                stats.incomplete_results == incomplete_before
-                and stats.degraded == degraded_before
-                and len(stats.missing_sources) == missing_before
-            )
-            if clean:
-                # deepen the cache: next run replays the full fan-out prefix
-                self._subplan_put(
-                    canons[fanout],
-                    outer,
-                    entry.cost_ms + (self.clock.now_ms - start_ms),
-                )
-            return outer
+    # A miss at the fan-out cut materializes it through the mediator-owned
+    # single-flight, so a concurrent query with the same canonical prefix
+    # consumes these rows instead of dialing the sources itself.  Rows — not
+    # substitutions — cross the flight: they are canonical value tuples, safe
+    # to rebind against another query's variables.  Nothing is stored here:
+    # the executor stores every cut once the whole run exhausted cleanly.
+    flight = executor.subplan_flight
+    if flight is None or sub.stored >= stop:
+        return materialize()[1], len(boundary), stop
+    assert ctx.cancel_token is not None
+    (rows, outer), shared = flight.do(
+        sub.canons[stop - 1].key, materialize, cancelled=ctx.cancel_token.is_cancelled
+    )
+    if shared:
+        if rows is not None:
+            if executor.metrics is not None:
+                executor.metrics.inc("subplan.shared_flights")
+            executor._subplan_adopt(sub, stop - 1, rows, 0.0, ctx)
+        # (a leader whose prefix was not cleanly materializable hands over
+        # no rows: enumerate locally rather than trust a partial result)
+        outer = materialize()[1]
+    return outer, len(boundary), stop
 
-        canon = canons[fanout]
 
-        def materialize() -> tuple[Optional[tuple[SubplanRow, ...]], list[dict[Variable, Term]]]:
-            incomplete_before = stats.incomplete_results
-            degraded_before = stats.degraded
-            missing_before = len(stats.missing_sources)
-            start_ms = self.clock.now_ms
-            outer_local = solve_span(0, base_subst)
-            clean = (
-                stats.incomplete_results == incomplete_before
-                and stats.degraded == degraded_before
-                and len(stats.missing_sources) == missing_before
-            )
-            rows: Optional[tuple[SubplanRow, ...]] = None
-            if clean:
-                rows = self._subplan_put(
-                    canon, outer_local, self.clock.now_ms - start_ms
-                )
-            return rows, outer_local
+def _fan_out(
+    executor: Executor,
+    plan: Plan,
+    fanout: int,
+    subst0: dict[Variable, Term],
+    ctx: _RunContext,
+    sub: Optional[_SubplanRun],
+    pool: WorkerPool,
+) -> Bindings:
+    """Enumerate outer bindings up to the fan-out point, run one branch
+    task per binding across the pool, merge the branches in binding order."""
+    steps = plan.steps
+    token = ctx.cancel_token
+    assert token is not None
+    outer, resume, which = _outer_bindings(executor, steps, fanout, subst0, ctx, sub)
+    phase_start = ctx.clock.now_ms
 
-        flight = self.subplan_flight
-        if flight is None:
-            return materialize()[1]
-        (rows, outer_local), shared = flight.do(
-            canon.key, materialize, cancelled=token.is_cancelled
-        )
-        if not shared:
-            return outer_local
-        if rows is None:
-            # the leader's prefix was not cleanly materializable — redo
-            # the enumeration locally rather than trust a partial result
-            return solve_span(0, base_subst)
-        if self.metrics is not None:
-            self.metrics.inc("subplan.shared_flights")
-        self.clock.advance(replay_cost_ms(len(rows), self.memo_hit_cost_ms))
-        provenance["subplan"] += len(rows)
-        return [row_subst(canon.var_order, row, base_subst) for row in rows]
-
-    def _subplan_put(
-        self,
-        canon: CanonicalPrefix,
-        outer: list[dict[Variable, Term]],
-        cost_ms: float,
-    ) -> Optional[tuple[SubplanRow, ...]]:
-        """Project outer substitutions to canonical rows and store them;
-        ``None`` (nothing cached) when any binding is unground."""
-        rows: list[SubplanRow] = []
-        for subst in outer:
-            row = project_row(canon.var_order, subst)
-            if row is None:
-                return None
-            rows.append(row)
-        if self.subplan is not None:
-            self.subplan.put(canon, rows, now_ms=self.clock.now_ms, cost_ms=cost_ms)
-        return tuple(rows)
-
-    # -- phase B: partitioned nested loop --------------------------------------
-
-    def _fan_out(
-        self,
-        consumer: _BranchExecutor,
-        plan: Plan,
-        fanout: int,
-        base_subst: dict[Variable, Term],
-        provenance: Counter,
-        stats: _RunStats,
-        pool: WorkerPool,
-        prefetch: dict[CallKey, CallResult],
-        flight: SingleFlight,
-        token: CancellationToken,
-        mode: str,
-        max_answers: Optional[int],
-        batch_size: int,
-        continue_callback: Optional[ContinueCallback],
-        max_time_ms: Optional[float],
-        start_ms: float,
-        trace: bool,
-    ) -> tuple[list[tuple[Value, ...]], Optional[float], bool, int]:
-        """Enumerate outer bindings up to the fan-out point, run one branch
-        task per binding across the pool, merge answers in binding order."""
-        outer = self._subplan_outer(
-            consumer, plan, fanout, base_subst, provenance, stats, token
-        )
-        answers: list[tuple[Value, ...]] = []
-        t_first: Optional[float] = None
-        early = False
-        batch: list[tuple[Value, ...]] = []
-        if not outer:
-            return answers, t_first, early, 0
-
-        phase_start = self.clock.now_ms
-        total = len(outer)
-        window = pool.capacity + pool.jobs
-        futures: dict[int, "Future[_BranchOutcome]"] = {}
-        submitted = 0
-
-        def submit_next() -> None:
-            nonlocal submitted
-            index = submitted
-            futures[index] = pool.submit(
-                self._make_branch_task(
-                    plan, fanout, outer[index], index, phase_start,
-                    prefetch, flight, token, trace,
+    def make_task(index: int) -> Callable[[], tuple[_RunContext, list, Optional[float]]]:
+        def task() -> tuple[_RunContext, list, Optional[float]]:
+            child = ctx.child(phase_start, executor._fresh_rng(index + 1))
+            bindings: Iterator = (
+                executor._solve(steps, resume, outer[index], child)
+                if sub is None
+                else executor._subplan_tee(
+                    sub, which, len(sub.cuts), steps, resume, outer[index], child
                 )
             )
-            submitted += 1
+            solved = []
+            first_offset: Optional[float] = None
+            for subst in bindings:
+                token.raise_if_cancelled(f"branch {index} abandoned mid-answer")
+                if first_offset is None:
+                    first_offset = child.clock.now_ms - phase_start
+                solved.append(subst)
+            return child, solved, first_offset
 
-        while submitted < min(window, total):
-            submit_next()
+        return task
 
-        worker_free = [0.0] * self.jobs
-        error: Optional[BaseException] = None
-        cancelled_count = 0
+    total = len(outer)
+    window = pool.capacity + pool.jobs
+    futures: dict[int, Future] = {}
+    submitted = 0
+    worker_free = [0.0] * pool.jobs
+    abandoned = 0
+    try:
         for index in range(total):
-            if early or error is not None:
-                break
             while submitted < total and submitted < index + window:
-                submit_next()
+                futures[submitted] = pool.submit(make_task(submitted))
+                submitted += 1
             try:
-                outcome = futures.pop(index).result()
+                child, solved, first_offset = futures.pop(index).result()
             except BaseException as exc:
                 if classify(exc) is ErrorClass.CANCELLED:
-                    cancelled_count += 1
-                    continue
-                # fail fast, like the sequential engine raising mid-loop
-                error = exc
-                token.cancel()
-                break
-            slot = min(range(self.jobs), key=worker_free.__getitem__)
+                    # only the caller's token stops a branch while the
+                    # stream is open: surface its reason, not the branch's
+                    abandoned += 1
+                    token.raise_if_cancelled("run cancelled externally")
+                # fail fast, like the inline strategy raising mid-loop
+                raise
+            slot = min(range(pool.jobs), key=worker_free.__getitem__)
             virtual_start = worker_free[slot]
-            worker_free[slot] = virtual_start + outcome.duration_ms
-            self.clock.advance_to(phase_start + worker_free[slot])
-            stats.calls += outcome.stats.calls
-            stats.retries += outcome.stats.retries
-            stats.degraded += outcome.stats.degraded
-            stats.hedges += outcome.stats.hedges
-            stats.hedge_wins += outcome.stats.hedge_wins
-            stats.missing_sources |= outcome.stats.missing_sources
-            stats.incomplete_results += outcome.stats.incomplete_results
-            provenance.update(outcome.provenance)
-            if stats.trace is not None and outcome.trace:
-                stats.trace.extend(outcome.trace)
-            for answer in outcome.answers:
-                self.clock.advance(self.display_cost_ms)
-                if t_first is None and outcome.first_offset_ms is not None:
-                    t_first = (
-                        phase_start
-                        + virtual_start
-                        + outcome.first_offset_ms
-                        + self.display_cost_ms
-                        - start_ms
-                    )
-                answers.append(answer)
-                if max_answers is not None and len(answers) >= max_answers:
-                    early = True
-                    break
-                if (
-                    max_time_ms is not None
-                    and self.clock.now_ms - start_ms >= max_time_ms
-                ):
-                    early = True
-                    break
-                if mode == MODE_INTERACTIVE:
-                    batch.append(answer)
-                    if len(batch) >= batch_size:
-                        keep_going = (
-                            continue_callback(batch, len(answers))
-                            if continue_callback is not None
-                            else True
-                        )
-                        batch = []
-                        if not keep_going:
-                            early = True
-                            break
-            if early:
-                token.cancel()
-
-        # drain: outstanding branches were cancelled (or are moot)
+            worker_free[slot] = virtual_start + (child.clock.now_ms - phase_start)
+            ctx.clock.advance_to(phase_start + worker_free[slot])
+            ctx.absorb(child)
+            if ctx.first_answer_at_ms is None and first_offset is not None:
+                ctx.first_answer_at_ms = phase_start + virtual_start + first_offset
+            yield from solved
+    finally:
+        # drain: outstanding branches are cancelled (or moot)
+        token.cancel()
         for future in futures.values():
             try:
                 future.result()
             except BaseException:
                 pass
-            cancelled_count += 1
-        cancelled_count += total - submitted
-        if error is not None:
-            raise error
-        return answers, t_first, early, cancelled_count
-
-    def _make_branch_task(
-        self,
-        plan: Plan,
-        fanout: int,
-        outer_subst: dict[Variable, Term],
-        index: int,
-        phase_start_ms: float,
-        prefetch: dict[CallKey, CallResult],
-        flight: SingleFlight,
-        token: CancellationToken,
-        trace: bool,
-    ) -> Callable[[], _BranchOutcome]:
-        def task() -> _BranchOutcome:
-            local_clock = SimClock(phase_start_ms)
-            branch = _BranchExecutor(
-                self, local_clock, prefetch=prefetch, flight=flight, token=token
-            )
-            branch_stats = _RunStats(
-                trace=[] if trace else None, rng=self._fresh_rng(index + 1)
-            )
-            branch_provenance: Counter = Counter()
-            answers: list[tuple[Value, ...]] = []
-            first_offset: Optional[float] = None
-            for subst in branch._solve(
-                plan.steps, fanout, dict(outer_subst), branch_provenance, branch_stats
-            ):
-                token.raise_if_cancelled(f"branch {index} abandoned mid-answer")
-                if first_offset is None:
-                    first_offset = local_clock.now_ms - phase_start_ms
-                answers.append(self._project(plan.answer_vars, subst))
-            return _BranchOutcome(
-                index=index,
-                answers=answers,
-                duration_ms=local_clock.now_ms - phase_start_ms,
-                first_offset_ms=first_offset,
-                stats=branch_stats,
-                provenance=branch_provenance,
-                trace=(
-                    tuple(branch_stats.trace)
-                    if branch_stats.trace is not None
-                    else ()
-                ),
-            )
-
-        return task
+        abandoned += len(futures) + total - submitted
+        if abandoned and executor.metrics is not None:
+            executor.metrics.inc("runtime.cancelled", float(abandoned))

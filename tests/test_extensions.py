@@ -152,6 +152,75 @@ class TestUnionSemantics:
         with pytest.raises(PlanningError):
             mediator.query("?- p(X).", semantics="quantum")
 
+    # union takes every execution option access-paths takes
+
+    def make_keyed_mediator(self) -> Mediator:
+        mediator = Mediator()
+        mediator.register_domain(
+            simple_domain(
+                "d",
+                {
+                    "f1": lambda a: [a * 10, a * 10 + 1],
+                    "f2": lambda a: [a * 10 + 1, a * 10 + 2],
+                },
+            )
+        )
+        mediator.load_program(
+            "p(A, B) :- in(B, d:f1(A)).\np(A, B) :- in(B, d:f2(A))."
+        )
+        return mediator
+
+    def test_union_honours_bindings(self):
+        mediator = self.make_keyed_mediator()
+        bound = mediator.query("?- p(A, B).", bindings={"A": 2})
+        assert bound.answers == ((2, 20), (2, 21))
+        union = mediator.query("?- p(A, B).", semantics="union", bindings={"A": 2})
+        assert union.answers == ((2, 20), (2, 21), (2, 21), (2, 22))
+        assert union.complete
+
+    def test_union_honours_a_fired_cancel_token(self):
+        from repro.cancellation import CancellationToken
+        from repro.errors import ExecutionCancelledError
+
+        mediator = self.make_mediator()
+        token = CancellationToken()
+        token.cancel()
+        with pytest.raises(ExecutionCancelledError):
+            mediator.query("?- p(X).", semantics="union", cancel_token=token)
+
+    def test_union_honours_max_time_ms(self):
+        mediator = self.make_mediator()
+        result = mediator.query("?- p(X).", semantics="union", max_time_ms=0.0)
+        # like access-paths: the budget is checked between answers
+        assert result.answers == mediator.query("?- p(X).", max_time_ms=0.0).answers
+        assert not result.complete
+
+    def test_union_interactive_stop_spans_branches(self):
+        mediator = self.make_mediator()
+        seen = []
+
+        def stop_after_three(batch, total):
+            seen.append(total)
+            return total < 3
+
+        result = mediator.query(
+            "?- p(X).",
+            semantics="union",
+            mode="interactive",
+            batch_size=1,
+            continue_callback=stop_after_three,
+        )
+        assert seen == [1, 2, 3]
+        assert result.cardinality == 3 and not result.complete
+
+    def test_union_trace_spans_branches(self):
+        mediator = self.make_mediator()
+        result = mediator.query("?- p(X).", semantics="union", trace=True)
+        assert [str(event.call) for event in result.execution.trace] == [
+            "d:f1()",
+            "d:f2()",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Predicate-level first-answer statistics (paper §8 remedy)

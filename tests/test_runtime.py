@@ -3,9 +3,9 @@ single-flight dedup, answer parity with the sequential engine,
 cancellation, and fault behaviour under concurrency.
 
 The load-bearing property here is the one the subsystem is built
-around: for any plan, ``ParallelExecutor.run`` returns the *same answer
-multiset* as the sequential ``Executor.run`` — parallelism may only
-change simulated timings, never results.
+around: for any plan, ``Executor.run`` under the pool strategy
+(``jobs > 1``) returns the *same answer multiset* as under the inline
+strategy — parallelism may only change simulated timings, never results.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.net.faults import FaultSpec
 from repro.net.policy import RetryPolicy
 from repro.runtime import (
     CancellationToken,
-    ParallelExecutor,
     SingleFlight,
     WorkerPool,
     build_dag,
@@ -495,12 +494,11 @@ class TestMediatorJobs:
     def test_default_is_sequential(self):
         mediator = Mediator()
         assert mediator.jobs == 1
-        assert type(mediator.executor).__name__ == "Executor"
 
-    def test_jobs_constructor_installs_parallel_engine(self):
+    def test_jobs_constructor_sets_worker_count_not_engine_type(self):
         mediator = Mediator(jobs=4)
-        assert isinstance(mediator.executor, ParallelExecutor)
         assert mediator.jobs == 4
+        assert type(mediator.executor) is type(Mediator().executor)
 
     def test_set_jobs_round_trip_preserves_knobs(self):
         mediator = Mediator(
@@ -508,8 +506,10 @@ class TestMediatorJobs:
             retry_policy=RetryPolicy(max_attempts=2),
             degrade_on_failure=False,
         )
+        engine = mediator.executor
         mediator.set_jobs(8)
-        assert isinstance(mediator.executor, ParallelExecutor)
+        assert mediator.jobs == 8
+        assert mediator.executor is engine
         assert mediator.executor.memoize_calls
         assert mediator.executor.policy is not None
         assert mediator.executor.policy.max_attempts == 2
@@ -517,7 +517,8 @@ class TestMediatorJobs:
         assert mediator.executor.cim is mediator.cim
         assert mediator.executor.dcsm is mediator.dcsm
         mediator.set_jobs(1)
-        assert type(mediator.executor).__name__ == "Executor"
+        assert mediator.jobs == 1
+        assert mediator.executor is engine
         assert mediator.executor.memoize_calls
 
     def test_parallel_executor_delegates_when_nothing_to_overlap(self):

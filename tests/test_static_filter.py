@@ -13,6 +13,7 @@ filtered from unfiltered plan templates.
 from __future__ import annotations
 
 import dataclasses
+import os
 from collections import Counter
 
 import pytest
@@ -28,7 +29,14 @@ from repro.errors import PlanningError
 from repro.workloads.generators import generate_star_workload, generate_workload
 
 
+#: CI's concurrency-stress job oversubscribes the pool-strategy cases
+#: (REPRO_STRESS_JOBS=16), like tests/test_runtime.py
+_STRESS_JOBS = int(os.environ.get("REPRO_STRESS_JOBS", "0"))
+
+
 def _mediator_for(workload, enable_filter: bool, jobs: int = 1) -> Mediator:
+    if _STRESS_JOBS and jobs > 1:
+        jobs = _STRESS_JOBS
     config = RewriterConfig(static_filter=enable_filter)
     mediator = Mediator(rewriter_config=config)
     mediator.register_domain(workload.domain)

@@ -8,20 +8,31 @@ version stamp then (conservatively, by design) invalidates the subplan
 tier between queries — see docs/CACHING.md.
 """
 
+import functools
+import os
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cancellation import CancellationToken
 from repro.core.mediator import Mediator
 from repro.core.model import DomainCall, InAtom
 from repro.core.plans import CallStep
 from repro.core.subplan import canonicalize_prefix, replay_cost_ms, subplan_cuts
 from repro.core.terms import Constant, Variable
+from repro.domains.base import simple_domain
+from repro.errors import ExecutionCancelledError
+from repro.net.faults import FaultInjector, FaultSpec
+from repro.net.policy import RetryPolicy
 from repro.storage.memory import MemoryBackend
 from repro.workloads.generators import generate_shared_prefix_workload
 
 pytestmark = pytest.mark.subplan
+
+#: worker count of the pool-strategy cases; CI's concurrency-stress job
+#: oversubscribes it (REPRO_STRESS_JOBS=16) like tests/test_runtime.py
+POOL_JOBS = int(os.environ.get("REPRO_STRESS_JOBS", "0")) or 4
 
 
 def build_mediator(**kwargs):
@@ -309,7 +320,7 @@ def test_cached_answers_match_uncached_parallel(shape):
     cached = Mediator(
         record_statistics=False, use_subplan_cache=True, verify_plans=True
     )
-    cached.set_jobs(4)
+    cached.set_jobs(POOL_JOBS)
     for mediator in (baseline, cached):
         mediator.register_domain(
             generate_shared_prefix_workload(
@@ -322,3 +333,271 @@ def test_cached_answers_match_uncached_parallel(shape):
     )
     baseline.close()
     cached.close()
+
+
+# -- one populate rule, whichever strategy executes the plan --------------------
+
+
+def test_subplan_effectiveness_is_the_same_at_any_jobs():
+    """What gets materialized is decided in one place, independent of the
+    strategy that happens to execute the plan: after q0 warms the prefix,
+    the sibling queries dial the same sources the same number of times and
+    leave the same entries behind inline and on the pool."""
+    shape = dict(queries=4, prefix_depth=5, fanout=2)
+    outcomes = {}
+    for label, options in {
+        "baseline": dict(),
+        "inline": dict(use_subplan_cache=True, jobs=1),
+        "pool": dict(use_subplan_cache=True, jobs=POOL_JOBS),
+    }.items():
+        workload = generate_shared_prefix_workload(**shape)
+        mediator = Mediator(record_statistics=False, **options)
+        mediator.register_domain(workload.domain)
+        mediator.load_program(workload.program_text)
+        answers = Counter(mediator.query(workload.queries[0]).answers)
+        warm = dict(workload.call_counts)
+        for query in workload.queries[1:]:
+            answers.update(mediator.query(query).answers)
+        sibling_dials = {
+            name: count - warm.get(name, 0)
+            for name, count in workload.call_counts.items()
+            if count != warm.get(name, 0)
+        }
+        outcomes[label] = (answers, sibling_dials, mediator.subplan_cache.entry_count)
+        mediator.close()
+    assert outcomes["inline"][0] == outcomes["pool"][0] == outcomes["baseline"][0]
+    assert outcomes["inline"][1:] == outcomes["pool"][1:]
+    # only the three private tails dial, once per chain row
+    assert outcomes["inline"][1] == {"share:t1": 2, "share:t2": 2, "share:t3": 2}
+    assert outcomes["inline"][2] == 5
+
+
+def test_cursor_stays_out_of_the_tier():
+    """A cursor's consumer decides how long the enumeration stays open, so
+    a cursor neither populates the tier nor replays from it — drained or
+    abandoned."""
+    mediator, workload = build_mediator()
+    with mediator.cursor(workload.queries[0]) as cursor:
+        assert len(cursor.fetch(1)) == 1
+    assert len(mediator.cursor(workload.queries[0]).fetch_all()) == 2
+    assert mediator.subplan_cache.entry_count == 0
+    assert mediator.subplan_cache.stats.lookups == 0
+    mediator.close()
+
+
+def test_source_change_under_an_open_cursor_leaves_no_stale_rows():
+    """Rows a cursor read before ``notify_source_changed`` must not reach
+    the tier when the cursor is drained after it: a later query of a
+    sibling shape answers from the changed source."""
+    version = [0]
+    mediator = Mediator(record_statistics=False, use_subplan_cache=True)
+    mediator.register_domain(
+        simple_domain(
+            "d",
+            {
+                "s0": lambda a: [f"{a}>{j}@{version[0]}" for j in range(3)],
+                "s1": lambda m: [f"{m}>1"],
+                "t0": lambda m: [f"{m}$0"],
+                "t1": lambda m: [f"{m}$1"],
+            },
+        )
+    )
+    mediator.load_program(
+        """
+        shared(A, M) :- in(M0, d:s0(A)) & in(M, d:s1(M0)).
+        q0(A, Out) :- shared(A, M) & in(Out, d:t0(M)).
+        q1(A, Out) :- shared(A, M) & in(Out, d:t1(M)).
+        """
+    )
+    cursor = mediator.cursor("?- q0('k', Out).")
+    assert cursor.fetch(1) == [("k>0@0>1$0",)]
+    version[0] = 1
+    mediator.notify_source_changed("d", "s0")
+    cursor.fetch_all()
+    assert mediator.subplan_cache.entry_count == 0
+    assert mediator.query("?- q1('k', Out).").answers == tuple(
+        (f"k>{j}@1>1$1",) for j in range(3)
+    )
+    mediator.close()
+
+
+MATRIX_PROGRAM = """
+head(A, M) :- in(M0, d:s0(A)) & in(M, d:s1(M0)).
+shared(A, M) :- in(M0, d:s0(A)) & in(M1, d:s1(M0)) & in(M, e:u(M1)).
+q0(A, Out) :- shared(A, M) & in(Out, d:t0(M)).
+q1(A, Out) :- shared(A, M) & in(Out, d:t1(M)).
+"""
+MATRIX_QUERIES = ("?- q0('k', Out).", "?- q1('k', Out).", "?- head('k', M).")
+
+
+def matrix_mediator(**options):
+    """The matrix program: ``e`` sits behind a site whose injector the test
+    flips, and ``hooks['t0']`` runs inside q0's tail call."""
+    hooks = {}
+
+    def t0(value):
+        if "t0" in hooks:
+            hooks["t0"]()
+        return [f"{value}$0"]
+
+    injector = FaultInjector(FaultSpec())
+    mediator = Mediator(
+        record_statistics=False,
+        retry_policy=RetryPolicy(max_attempts=2, base_backoff_ms=1.0),
+        **options,
+    )
+    mediator.register_domain(
+        simple_domain(
+            "d",
+            {
+                "s0": lambda a: [f"{a}>{j}" for j in range(4)],
+                "s1": lambda m: [f"{m}>1"],
+                "t0": t0,
+                "t1": lambda m: [f"{m}$1"],
+            },
+        )
+    )
+    mediator.register_domain(
+        simple_domain("e", {"u": lambda m: [f"{m}>u"]}),
+        site="cornell",
+        faults=injector,
+    )
+    mediator.load_program(MATRIX_PROGRAM)
+    return mediator, injector, hooks
+
+
+def matrix_clean_run(mediator, use_cim):
+    return {
+        query: Counter(mediator.query(query, use_cim=use_cim).answers)
+        for query in MATRIX_QUERIES
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_expectations(use_cim):
+    """Per query the cache-free engine's answers, and per subplan key the
+    rows a clean inline run of every query materializes."""
+    baseline, _, _ = matrix_mediator()
+    answers = matrix_clean_run(baseline, use_cim)
+    reference, _, _ = matrix_mediator(use_subplan_cache=True)
+    matrix_clean_run(reference, use_cim)
+    rows = {key: entry.rows for key, entry in reference.subplan_cache.items()}
+    assert len(rows) == 3
+    baseline.close()
+    reference.close()
+    return answers, rows
+
+
+def end_by_max_answers(mediator, injector, hooks, use_cim):
+    assert not mediator.query(MATRIX_QUERIES[0], max_answers=1).complete
+
+
+def end_by_max_time(mediator, injector, hooks, use_cim):
+    assert not mediator.query(MATRIX_QUERIES[0], max_time_ms=0.0).complete
+
+
+def end_by_interactive_stop(mediator, injector, hooks, use_cim):
+    result = mediator.query(
+        MATRIX_QUERIES[0],
+        mode="interactive",
+        batch_size=1,
+        continue_callback=lambda batch, total: False,
+    )
+    assert not result.complete
+
+
+def end_by_external_cancel(mediator, injector, hooks, use_cim):
+    token = CancellationToken()
+    hooks["t0"] = token.cancel  # fires mid-run, inside the first tail call
+    with pytest.raises(ExecutionCancelledError):
+        mediator.query(MATRIX_QUERIES[0], cancel_token=token)
+    del hooks["t0"]
+
+
+def end_by_terminal_failure(mediator, injector, hooks, use_cim):
+    injector.spec = FaultSpec(down=True)
+    result = mediator.query(MATRIX_QUERIES[0])
+    assert result.completeness.is_partial and not result.complete
+    injector.spec = FaultSpec()
+
+
+def end_by_degraded_answer(mediator, injector, hooks, use_cim):
+    injector.spec = FaultSpec(down=True)
+    result = mediator.query(MATRIX_QUERIES[0], use_cim=use_cim)
+    assert result.degraded and not result.complete
+    injector.spec = FaultSpec()
+
+
+@pytest.mark.parametrize("jobs", [1, POOL_JOBS])
+def test_cancel_after_the_last_answer_discards_nothing(jobs):
+    """A token that fires at the finish line abandoned no work: the fully
+    enumerated result is returned, whichever strategy produced it."""
+    mediator, _, _ = matrix_mediator(jobs=jobs)
+    token = CancellationToken()
+
+    def at_the_finish_line(batch, total):
+        token.cancel()
+        return True
+
+    result = mediator.query(
+        MATRIX_QUERIES[0],
+        mode="interactive",
+        batch_size=4,
+        continue_callback=at_the_finish_line,
+        cancel_token=token,
+    )
+    assert token.is_cancelled()
+    assert result.complete and len(result.answers) == 4
+    mediator.close()
+
+
+@pytest.mark.parametrize(
+    "ending",
+    [
+        end_by_max_answers,
+        end_by_max_time,
+        end_by_interactive_stop,
+        end_by_external_cancel,
+        end_by_terminal_failure,
+        end_by_degraded_answer,
+    ],
+)
+@pytest.mark.parametrize("prior", ["cold", "shallower-cut"])
+@pytest.mark.parametrize("jobs", [1, POOL_JOBS])
+def test_only_clean_full_enumerations_populate_the_tier(jobs, prior, ending):
+    """A run that stopped early, was cancelled, lost a source or served
+    stale rows adds no entry for a prefix it did not enumerate fully and
+    cleanly — so every entry present afterwards equals the clean
+    materialization, and later clean runs answer like the cache-free engine."""
+    use_cim = ending is end_by_degraded_answer
+    expected_answers, expected_rows = matrix_expectations(use_cim)
+
+    mediator, injector, hooks = matrix_mediator(
+        use_subplan_cache=True,
+        jobs=jobs,
+        repair=ending is end_by_terminal_failure,
+    )
+    if use_cim:
+        # stale rows to degrade to: warm the CIM, let every entry expire
+        mediator.cim.cache.ttl_ms = 1_000.0
+        matrix_clean_run(mediator, use_cim)
+        mediator.subplan_cache.clear()
+        mediator.clock.advance(5_000.0)
+    if prior == "shallower-cut":
+        mediator.query(MATRIX_QUERIES[2], use_cim=use_cim)
+        assert mediator.subplan_cache.entry_count == 1
+
+    before = {key: entry.rows for key, entry in mediator.subplan_cache.items()}
+    ending(mediator, injector, hooks, use_cim)
+
+    # nothing is stored by a run that did not exhaust cleanly — by either
+    # strategy, so the entries are the same at any ``jobs``
+    assert {
+        key: entry.rows for key, entry in mediator.subplan_cache.items()
+    } == before
+    assert all(expected_rows[key] == rows for key, rows in before.items())
+    assert matrix_clean_run(mediator, use_cim) == expected_answers
+    assert {
+        key: entry.rows for key, entry in mediator.subplan_cache.items()
+    } == expected_rows
+    mediator.close()
