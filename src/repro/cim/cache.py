@@ -1,34 +1,42 @@
 """The query-result cache: ground domain calls mapped to answer sets.
 
-Entries are indexed two ways: by the full ground call (exact lookup) and
-by ``domain:function`` (the invariant matcher scans only the entries that
-could possibly match a candidate call).  The cache supports bounded
-capacity in entries and/or bytes with LRU, LFU, or cost-aware eviction
+One policy over the shared cache-tier core
+(:class:`repro.storage.tier.CacheStore`, docs/CACHING.md): the key is the
+ground call, the value its answer set, the only stamp a TTL against the
+simulated clock, and the entry's single source is its own
+``domain:function`` — which is also how the invariant matcher narrows its
+scan to the entries that could possibly match a candidate call.  Capacity
+in entries and/or bytes, with LRU, LFU, or cost-aware eviction
 (``"cost"``: score = DCSM-estimated recompute cost x hit frequency per
-byte, see :class:`repro.storage.evictor.CostFrequencyEvictor`), and
-optional TTL expiry against the simulated clock.
+byte, see :class:`repro.storage.evictor.CostFrequencyEvictor`), is the
+store's.  What is the CIM's own: a complete answer set beats an
+incomplete one, and TTL-expired entries are parked for degraded serving.
 
 With a :class:`~repro.storage.backend.StorageBackend` attached, every
 mutation writes through to the backend's ``"cim"`` store (memory stays
 the authoritative read path — lookups never touch the backend), and
 :meth:`load_from_backend` restores a previous session's entries for warm
-restart.
-
-All public operations take an internal re-entrant lock: the parallel
-runtime's workers hit one shared cache concurrently, and the two indexes
-plus the byte accounting must move together.
+restart.  Ground-call answers are valid whatever program is loaded, so
+this tier is mirrored write by write rather than snapshotted.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.core.model import GroundCall
 from repro.core.terms import Value, value_bytes
 from repro.errors import CacheError, StorageError
+from repro.storage.backend import wipe_store
+from repro.storage.tier import (
+    REASON_EVICTION,
+    REASON_TTL,
+    CacheStore,
+    Entry,
+    TierStats,
+)
 
 if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
@@ -40,37 +48,17 @@ POLICY_LFU = "lfu"
 POLICY_COST = "cost"
 
 
-@dataclass
-class CacheEntry:
-    """One cached call with its answers and bookkeeping."""
+@dataclass(slots=True)
+class CacheEntry(Entry):
+    """One cached call with its answers."""
 
     call: GroundCall
     answers: tuple[Value, ...]
     complete: bool
-    stored_at_ms: float
-    answer_bytes: int
-    hits: int = 0
-    last_used_ms: float = field(default=0.0)
 
     @property
     def cardinality(self) -> int:
         return len(self.answers)
-
-
-@dataclass
-class CacheStats:
-    """Observability counters (reset with the cache)."""
-
-    lookups: int = 0
-    exact_hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    expirations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.exact_hits / self.lookups if self.lookups else 0.0
 
 
 class ResultCache:
@@ -93,83 +81,68 @@ class ResultCache:
             raise CacheError("max_entries must be at least 1")
         if max_bytes is not None and max_bytes < 1:
             raise CacheError("max_bytes must be at least 1")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.policy = policy
-        self.ttl_ms = ttl_ms
-        if policy == POLICY_COST and evictor is None:
-            from repro.storage.evictor import CostFrequencyEvictor
+        score: Optional[Callable[[CacheEntry], float]] = None
+        if policy == POLICY_LFU:
+            score = lambda entry: entry.hits
+        elif policy == POLICY_COST:
+            if evictor is None:
+                from repro.storage.evictor import CostFrequencyEvictor
 
-            evictor = CostFrequencyEvictor()
+                evictor = CostFrequencyEvictor()
+            score = evictor.score
         self.evictor = evictor
         self.backend = backend
         self.store = store
         self.metrics = metrics
-        # suppressed while load_from_backend re-inserts restored entries
+        # backend puts are suppressed while load_from_backend re-inserts
+        # restored entries (deletes are not: what a load evicts must leave
+        # the backend too, or dead records accumulate across restarts)
         self._mirror = True
-        # calls whose backend delete was suppressed by _mirror=False;
-        # load_from_backend settles these so capacity evictions during a
-        # load don't leave dead records accumulating in the backend
-        self._deferred_deletes: list[GroundCall] = []
-        self.stats = CacheStats()
-        # entries dropped by source-change notifications, itemized for the
-        # per-tier cache summary (TTL drops are stats.expirations and
-        # capacity drops stats.evictions; plain attribute, not a
-        # CacheStats field, so existing stats consumers are unaffected)
-        self.source_invalidations = 0
-        self._entries: "OrderedDict[GroundCall, CacheEntry]" = OrderedDict()
-        # secondary index keyed by (domain, function) tuples: lookup and
-        # invalidation touch only the bucket of the one source function
-        self._by_function: dict[tuple[str, str], dict[GroundCall, CacheEntry]] = {}
-        self._total_bytes = 0
+        self._tier: CacheStore[GroundCall, CacheEntry] = CacheStore(
+            max_entries, max_bytes, ttl_ms, score, self._on_drop
+        )
+        # one shared ``sources`` set per source function, not one per entry
+        self._sources: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}
         # TTL-expired entries parked for degraded serving (peek_stale): an
         # expired answer set is still better than none when the source is
         # unreachable.  Not counted in len()/total_bytes; purged on
         # invalidation (the data is then known wrong, not merely old).
+        # Guarded by the store's lock.
         self._stale: "OrderedDict[GroundCall, CacheEntry]" = OrderedDict()
-        # re-entrant so internal helpers may call public methods
-        self._lock = threading.RLock()
+
+    def _on_drop(self, call: GroundCall, entry: CacheEntry, reason: Optional[str]) -> None:
+        if reason == REASON_TTL:
+            self._stale[call] = entry
+            self._stale.move_to_end(call)
+            limit = self.max_entries if self.max_entries is not None else 256
+            while len(self._stale) > limit:
+                self._stale.popitem(last=False)
+        elif reason == REASON_EVICTION and self.metrics is not None:
+            self.metrics.inc("storage.evictions")
+        if self.backend is not None:
+            from repro.cim.codec import call_key
+
+            self.backend.delete(self.store, call_key(call))
 
     # -- core operations ---------------------------------------------------
 
     def get(self, call: GroundCall, now_ms: float = 0.0) -> Optional[CacheEntry]:
         """Exact lookup; honours TTL; updates recency/frequency."""
-        with self._lock:
-            self.stats.lookups += 1
-            entry = self._entries.get(call)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if self._expired(entry, now_ms):
-                self._park_stale(call, entry)
-                self._remove(call)
-                self.stats.expirations += 1
-                self.stats.misses += 1
-                return None
-            entry.hits += 1
-            entry.last_used_ms = now_ms
-            self._entries.move_to_end(call)
-            self.stats.exact_hits += 1
-            return entry
+        return self._tier.get(call, now_ms)
 
     def peek(self, call: GroundCall, now_ms: float = 0.0) -> Optional[CacheEntry]:
         """Lookup without recency/stats side effects (used by the invariant
         matcher and by stale-serving, which has its own bookkeeping)."""
-        with self._lock:
-            entry = self._entries.get(call)
-            if entry is None or self._expired(entry, now_ms):
-                return None
-            return entry
+        return self._tier.peek(call, now_ms)
 
     def peek_stale(self, call: GroundCall) -> Optional[CacheEntry]:
         """Lookup ignoring TTL: degraded mode prefers an expired answer
         set over no answers at all when the source is unreachable.
         Checks live entries first, then the parked TTL-expired ones."""
-        with self._lock:
-            entry = self._entries.get(call)
-            if entry is not None:
-                return entry
-            return self._stale.get(call)
+        with self._tier.lock:
+            entry = self._tier.peek(call)
+            return entry if entry is not None else self._stale.get(call)
 
     def put(
         self,
@@ -183,107 +156,104 @@ class ResultCache:
         A complete result always replaces an incomplete one; an incomplete
         result never downgrades a cached complete one.
         """
-        with self._lock:
+        with self._tier.lock:
             self._stale.pop(call, None)  # fresh data supersedes the parked copy
-            existing = self._entries.get(call)
-            if existing is not None:
-                if existing.complete and not complete:
-                    return existing
-                self._remove(call)
-            answer_bytes = sum(value_bytes(a) for a in answers)
+            existing = self._tier.peek(call)
+            if existing is not None and existing.complete and not complete:
+                return existing
+            source = (call.domain, call.function)
+            sources = self._sources.get(source)
+            if sources is None:
+                sources = self._sources[source] = frozenset((source,))
             entry = CacheEntry(
                 call=call,
                 answers=tuple(answers),
                 complete=complete,
+                sources=sources,
+                answer_bytes=sum(value_bytes(a) for a in answers),
                 stored_at_ms=now_ms,
-                answer_bytes=answer_bytes,
                 last_used_ms=now_ms,
             )
-            self._entries[call] = entry
-            self._by_function.setdefault((call.domain, call.function), {})[call] = entry
-            self._total_bytes += answer_bytes
-            self.stats.insertions += 1
             self._backend_put(entry)
-            self._evict(now_ms, protect=call)
+            self._tier.put(call, entry)
             return entry
 
     def invalidate(self, call: GroundCall) -> bool:
         """Drop one entry; True if it existed."""
-        with self._lock:
+        with self._tier.lock:
             self._stale.pop(call, None)
-            if call in self._entries:
-                self._remove(call)
-                return True
-            return False
+            return self._tier.discard(call)
 
-    def invalidate_function(self, domain: str, function: str) -> int:
-        """Drop every entry of ``domain:function`` (e.g. after a source
-        update notification); returns the number removed."""
-        with self._lock:
-            key = (domain, function)
-            calls = list(self._by_function.get(key, ()))
-            for call in calls:
-                self._remove(call)
+    def invalidate_source(self, domain: str, function: Optional[str] = None) -> int:
+        """Drop every entry of ``domain:function`` — of every function of
+        ``domain`` when ``function`` is ``None`` — e.g. after a source
+        update notification; returns the number removed."""
+        with self._tier.lock:
+            removed = self._tier.invalidate_source(domain, function)
             for call in [
-                c for c in self._stale if (c.domain, c.function) == key
+                c
+                for c in self._stale
+                if c.domain == domain and function in (None, c.function)
             ]:
                 del self._stale[call]
-            self.source_invalidations += len(calls)
-            return len(calls)
-
-    def invalidate_domain(self, domain: str) -> int:
-        """Drop every entry of every function of ``domain``; returns the
-        number removed."""
-        with self._lock:
-            removed = 0
-            for key in [k for k in self._by_function if k[0] == domain]:
-                for call in list(self._by_function.get(key, ())):
-                    self._remove(call)
-                    removed += 1
-            for call in [c for c in self._stale if c.domain == domain]:
-                del self._stale[call]
-            self.source_invalidations += removed
             return removed
 
-    def clear(self) -> None:
-        with self._lock:
+    def invalidate_function(self, domain: str, function: str) -> int:
+        return self.invalidate_source(domain, function)
+
+    def invalidate_domain(self, domain: str) -> int:
+        return self.invalidate_source(domain)
+
+    def clear(self) -> int:
+        """Empty the cache (and its backend store) and zero the counters."""
+        with self._tier.lock:
             if self.backend is not None and self._mirror:
-                for key, __ in list(self.backend.scan_prefix(self.store, "")):
-                    self.backend.delete(self.store, key)
-            self._entries.clear()
-            self._by_function.clear()
+                wipe_store(self.backend, self.store)
             self._stale.clear()
-            self._total_bytes = 0
-            self.stats = CacheStats()
+            return self._tier.clear()
 
     # -- scanning (for invariants) ---------------------------------------------
 
     def entries_for(self, domain: str, function: str, now_ms: float = 0.0) -> Iterator[CacheEntry]:
         """All live entries of one source function (snapshot at call time)."""
-        with self._lock:
-            bucket = self._by_function.get((domain, function), {})
-            live = [
-                entry
-                for entry in bucket.values()
-                if not self._expired(entry, now_ms)
-            ]
-        yield from live
+        live = self._tier.live_items(now_ms, source=(domain, function))
+        return iter([entry for __, entry in live])
 
     def __iter__(self) -> Iterator[CacheEntry]:
-        with self._lock:
-            return iter(list(self._entries.values()))
+        return iter([entry for __, entry in self._tier.items()])
 
     # -- introspection ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._tier)
 
     def __contains__(self, call: GroundCall) -> bool:
-        return call in self._entries
+        return call in self._tier
 
     @property
     def total_bytes(self) -> int:
-        return self._total_bytes
+        return self._tier.total_bytes
+
+    @property
+    def stats(self) -> TierStats:
+        """Hit/miss/insertion counters, occupancy and drops by reason."""
+        return self._tier.stats()
+
+    @property
+    def max_entries(self) -> Optional[int]:
+        return self._tier.max_entries
+
+    @property
+    def max_bytes(self) -> Optional[int]:
+        return self._tier.max_bytes
+
+    @property
+    def ttl_ms(self) -> Optional[float]:
+        return self._tier.ttl_ms
+
+    @ttl_ms.setter
+    def ttl_ms(self, value: Optional[float]) -> None:
+        self._tier.ttl_ms = value
 
     # -- storage backend (persistence) ---------------------------------------------
 
@@ -294,7 +264,7 @@ class ResultCache:
         metrics: "Optional[MetricsRegistry]" = None,
     ) -> None:
         """Start mirroring mutations into ``backend`` (from now on)."""
-        with self._lock:
+        with self._tier.lock:
             self.backend = backend
             self.store = store
             if metrics is not None:
@@ -304,11 +274,11 @@ class ResultCache:
         """Warm restart: re-insert every entry persisted in the backend.
 
         Entries go through the normal ``put`` path (capacity limits and
-        eviction apply) with backend mirroring suspended, so a load never
+        eviction apply) with backend puts suspended, so a load never
         rewrites what it reads; entries *evicted* during the load are
-        deleted from the backend afterwards (their records would
-        otherwise be re-read, re-decoded, and re-evicted on every warm
-        start, growing the store without bound).  Stored timestamps are
+        deleted from the backend (their records would otherwise be
+        re-read, re-decoded, and re-evicted on every warm start, growing
+        the store without bound).  Stored timestamps are
         clamped to ``now_ms`` — the restarted clock starts over, and a
         ``stored_at_ms`` in the new clock's future would never satisfy
         TTL expiry.  Records that fail to decode are dropped from the
@@ -321,7 +291,7 @@ class ResultCache:
 
         records = list(self.backend.scan_prefix(self.store, ""))
         count = 0
-        with self._lock:
+        with self._tier.lock:
             self._mirror = False
             try:
                 for key, data in records:
@@ -340,10 +310,6 @@ class ResultCache:
                     count += 1
             finally:
                 self._mirror = True
-                deferred, self._deferred_deletes = self._deferred_deletes, []
-                for call in deferred:
-                    if call not in self._entries:
-                        self._backend_delete(call)
         return count
 
     def sync_backend(self) -> int:
@@ -352,9 +318,9 @@ class ResultCache:
         number written.  Call before :meth:`StorageBackend.flush`."""
         if self.backend is None:
             return 0
-        with self._lock:
-            entries = list(self._entries.values())
-            for entry in entries:
+        with self._tier.lock:
+            entries = self._tier.items()
+            for __, entry in entries:
                 self._backend_put(entry)
         return len(entries)
 
@@ -374,85 +340,3 @@ class ResultCache:
                 entry.hits,
             ),
         )
-
-    def _backend_delete(self, call: GroundCall) -> None:
-        if self.backend is None:
-            return
-        if not self._mirror:
-            self._deferred_deletes.append(call)
-            return
-        from repro.cim.codec import call_key
-
-        self.backend.delete(self.store, call_key(call))
-
-    # -- internals -----------------------------------------------------------------
-
-    def _expired(self, entry: CacheEntry, now_ms: float) -> bool:
-        return self.ttl_ms is not None and now_ms - entry.stored_at_ms >= self.ttl_ms
-
-    def _park_stale(self, call: GroundCall, entry: CacheEntry) -> None:
-        self._stale[call] = entry
-        self._stale.move_to_end(call)
-        limit = self.max_entries if self.max_entries is not None else 256
-        while len(self._stale) > limit:
-            self._stale.popitem(last=False)
-
-    def _remove(self, call: GroundCall) -> None:
-        entry = self._entries.pop(call)
-        self._total_bytes -= entry.answer_bytes
-        key = (call.domain, call.function)
-        bucket = self._by_function.get(key)
-        if bucket is not None:
-            bucket.pop(call, None)
-            if not bucket:
-                del self._by_function[key]
-        self._backend_delete(call)
-
-    def _evict(self, now_ms: float, protect: Optional[GroundCall] = None) -> None:
-        def over_capacity() -> bool:
-            if self.max_entries is not None and len(self._entries) > self.max_entries:
-                return True
-            if self.max_bytes is not None and self._total_bytes > self.max_bytes:
-                return True
-            return False
-
-        while over_capacity() and len(self._entries) > 1:
-            victim = self._pick_victim(protect)
-            if victim is None:
-                break
-            self._remove(victim)
-            self.stats.evictions += 1
-            if self.metrics is not None:
-                self.metrics.inc("storage.evictions")
-
-    def _pick_victim(self, protect: Optional[GroundCall]) -> Optional[GroundCall]:
-        if self.policy == POLICY_LRU:
-            for call in self._entries:  # OrderedDict: oldest first
-                if call != protect:
-                    return call
-            return None
-        if self.policy == POLICY_COST:
-            # cost-aware: discard the entry with the lowest benefit
-            # density (recompute cost x hit frequency per byte); ties
-            # break by age via iteration order
-            assert self.evictor is not None
-            victim: Optional[GroundCall] = None
-            lowest: Optional[float] = None
-            for call, entry in self._entries.items():
-                if call == protect:
-                    continue
-                score = self.evictor.score(entry)
-                if lowest is None or score < lowest:
-                    lowest = score
-                    victim = call
-            return victim
-        # LFU: fewest hits, ties broken by age (iteration order)
-        victim = None
-        fewest = None
-        for call, entry in self._entries.items():
-            if call == protect:
-                continue
-            if fewest is None or entry.hits < fewest:
-                fewest = entry.hits
-                victim = call
-        return victim

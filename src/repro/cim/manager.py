@@ -161,10 +161,7 @@ class CacheInvariantManager:
         number of entries dropped.  Cost statistics are *not* touched —
         a data change rarely changes the source's cost behaviour, and the
         DCSM's recency weighting handles drift when it does."""
-        cache = self.cache_for(domain)
-        if function is not None:
-            return cache.invalidate_function(domain, function)
-        return cache.invalidate_domain(domain)
+        return self.cache_for(domain).invalidate_source(domain, function)
 
     def cache_for(self, domain: str) -> ResultCache:
         return self.domain_caches.get(domain, self.cache)

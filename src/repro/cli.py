@@ -18,7 +18,7 @@ Commands (everything else is parsed as a rule or a query):
     :stats                    DCSM / CIM / planner / runtime / health counters
     :health                   per-source breaker state, error rate, latency quantiles
     :metrics                  the shared metrics registry (counters/histograms)
-    :save-stats FILE          persist DCSM statistics
+    :save-stats FILE          persist DCSM statistics (FILE: a sqlite store)
     :load-stats FILE          restore DCSM statistics
     :domains                  registered domains and their functions
     :help                     this text
@@ -94,7 +94,10 @@ from typing import IO, Optional
 
 from repro.core.explain import explain, explain_last_execution
 from repro.core.mediator import Mediator
+from repro.dcsm.module import DCSM
 from repro.errors import ReproError
+from repro.report import cache_tiers_data
+from repro.storage.backend import make_backend
 
 _HELP = __doc__.split("Commands", 1)[1]
 
@@ -256,14 +259,10 @@ class MediatorShell:
         elif command == ":metrics":
             self.write(self.mediator.metrics.render())
         elif command == ":save-stats":
-            from repro.dcsm.persistence import save_statistics
-
-            count = save_statistics(self.mediator.dcsm, argument)
+            count = _statistics_file(self.mediator.dcsm, argument, load=False)
             self.write(f"saved {count} observations to {argument}")
         elif command == ":load-stats":
-            from repro.dcsm.persistence import load_statistics
-
-            count = load_statistics(self.mediator.dcsm, argument)
+            count = _statistics_file(self.mediator.dcsm, argument, load=True)
             self.write(f"loaded {count} observations from {argument}")
         elif command == ":domains":
             for endpoint in self.mediator.registry:
@@ -278,6 +277,25 @@ class MediatorShell:
         result = self.mediator.query(line, use_cim=self.use_cim or None)
         self.write(str(result))
         self.write(explain_last_execution(result))
+
+
+def _statistics_file(dcsm: DCSM, path: str, load: bool) -> int:
+    """``:save-stats`` / ``:load-stats``: the file at ``path`` is a SQLite
+    storage backend (docs/STORAGE.md) whose ``dcsm`` store holds the
+    observation log.  Saving replaces the file's log with the current
+    one; loading appends the file's log to the current one.  Either way
+    the DCSM goes back to mirroring into the mediator's own storage."""
+    mirror = dcsm.database.backend
+    backend = make_backend(f"sqlite:{path}")
+    try:
+        dcsm.attach_backend(backend)
+        return dcsm.load_from_backend() if load else dcsm.sync_backend()
+    finally:
+        backend.close()
+        dcsm.database.backend = None
+        if mirror is not None:
+            dcsm.attach_backend(mirror)
+            dcsm.sync_backend()
 
 
 def _planner_summary(mediator: Mediator) -> str:
@@ -323,38 +341,16 @@ def _runtime_summary(mediator: Mediator) -> str:
 def _cache_summary(mediator: Mediator) -> str:
     """Per-tier cache report: hit rate, occupancy, and invalidations by
     reason for each of the three tiers (see ``docs/CACHING.md``)."""
-
-    def reasons(counts: dict[str, int]) -> str:
-        shown = " ".join(f"{k}={v}" for k, v in counts.items() if v)
-        return f" invalidated[{shown}]" if shown else ""
-
-    cim = mediator.cim.cache
-    cim_line = (
-        f"  cim     : hit_rate={cim.stats.hit_rate:.2f} "
-        f"entries={len(cim)} bytes={cim.total_bytes}"
-        + reasons(
-            {
-                "source": cim.source_invalidations,
-                "ttl": cim.stats.expirations,
-                "eviction": cim.stats.evictions,
-            }
+    lines = ["cache tiers:"]
+    for name, tier in cache_tiers_data(mediator).items():
+        shown = " ".join(f"{k}={v}" for k, v in tier["invalidations"].items() if v)
+        lines.append(
+            f"  {name:<8}: hit_rate={tier['hit_rate']:.2f} "
+            f"entries={tier['entries']} bytes={tier['bytes']}"
+            + (f" invalidated[{shown}]" if shown else "")
+            + ("" if tier.get("enabled", True) else " (disabled)")
         )
-    )
-    plans = mediator.plan_cache
-    plan_lookups = plans.hits + plans.misses
-    plan_rate = plans.hits / plan_lookups if plan_lookups else 0.0
-    plan_line = (
-        f"  plan    : hit_rate={plan_rate:.2f} entries={len(plans)}"
-        + reasons(plans.invalidations)
-    )
-    sub = mediator.subplan_cache
-    sub_line = (
-        f"  subplan : hit_rate={sub.stats.hit_rate:.2f} "
-        f"entries={sub.entry_count} bytes={sub.total_bytes}"
-        + reasons(sub.stats.invalidations)
-        + ("" if mediator.use_subplan_cache else " (disabled)")
-    )
-    return "cache tiers:\n" + "\n".join((cim_line, plan_line, sub_line))
+    return "\n".join(lines)
 
 
 def _storage_summary(mediator: Mediator) -> str:

@@ -60,6 +60,7 @@ from repro.metrics import MetricsRegistry
 from repro.net.clock import SimClock
 from repro.net.health import HealthRegistry, HedgePolicy
 from repro.net.policy import RetryPolicy, run_with_retry
+from repro.storage.tier import Ticket
 
 if TYPE_CHECKING:
     from repro.runtime.singleflight import SingleFlight
@@ -274,6 +275,9 @@ class _SubplanRun:
     prefixes: list[tuple[PlanStep, ...]]  # steps[:cut] per cut
     canons: list[CanonicalPrefix]
     opened_ms: float
+    # taken before the first probe: rows are refused at finalize if the
+    # program or one of their sources changed while the run was in flight
+    ticket: Ticket
     hit: int = -1  # index into cuts of the replayed cut
     rows: tuple[SubplanRow, ...] = ()
     base_cost_ms: float = 0.0  # what materializing the replayed cut cost
@@ -543,7 +547,7 @@ class Executor:
         prefixes = [steps[:cut] for cut in cuts]
         canons = [canonicalize_prefix(prefix, subst0) for prefix in prefixes]
         now_ms = ctx.clock.now_ms
-        sub = _SubplanRun(cache, steps, cuts, prefixes, canons, now_ms)
+        sub = _SubplanRun(cache, steps, cuts, prefixes, canons, now_ms, cache.ticket())
         found = cache.match([canon.key for canon in reversed(canons)], now_ms=now_ms)
         if found is not None:
             key, entry = found
@@ -652,6 +656,7 @@ class Executor:
                 rows,
                 now_ms=now_ms,
                 cost_ms=sub.base_cost_ms + elapsed * share,
+                ticket=sub.ticket,
             )
         sub.stored = len(sub.cuts)
 

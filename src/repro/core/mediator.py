@@ -49,27 +49,10 @@ from repro.core.executor import (
 )
 from repro.core.model import GroundCall, Invariant, Program, Query, Rule
 from repro.core.parser import parse_invariant, parse_program, parse_query
-from repro.core.plancache import (
-    CachedPlan,
-    PersistedPlan,
-    PlanCache,
-    adopt_plan_records,
-    canonicalize,
-    exact_key,
-    load_plan_records,
-    save_plan_cache,
-)
+from repro.core.plancache import CachedPlan, PlanCache, canonicalize, exact_key
 from repro.core.plans import Plan, PlanStep
 from repro.core.rewriter import Rewriter, RewriterConfig
-from repro.core.subplan import (
-    PersistedSubplan,
-    SubplanResultCache,
-    adopt_subplan_records,
-    canonicalize_prefix,
-    load_subplan_records,
-    replay_cost_ms,
-    save_subplan_cache,
-)
+from repro.core.subplan import SubplanResultCache, canonicalize_prefix, replay_cost_ms
 from repro.dcsm.module import DCSM
 from repro.domains.base import Domain
 from repro.domains.registry import DomainRegistry
@@ -83,6 +66,7 @@ from repro.net.remote import RemoteDomain
 from repro.net.sites import Site, make_site
 from repro.runtime.repair import Completeness, PlanRepairer
 from repro.runtime.singleflight import SingleFlight
+from repro.storage import snapshot
 from repro.storage.backend import StorageBackend, make_backend
 
 if TYPE_CHECKING:
@@ -105,10 +89,9 @@ _storage_seq = itertools.count()
 def _default_storage_root() -> str:
     """A private, user-owned directory for default storage files.
 
-    The stores are a trust boundary: plan-cache records are pickled, so
-    anyone who can write the storage directory can execute code in the
-    mediator process on warm start.  The default therefore must never be
-    the shared system temp dir itself — it is a per-user subdirectory
+    Whoever can write the stores chooses the answers, statistics and
+    plans the next warm start serves.  The default therefore must never
+    be the shared system temp dir itself — it is a per-user subdirectory
     created with mode 0700 and verified to belong to this user, falling
     back to a fresh ``mkdtemp`` (0700 by construction) if that fails.
     """
@@ -202,10 +185,10 @@ class Mediator:
                 self.storage.metrics = self.metrics  # type: ignore[misc]
         self.warm_start = warm_start
         self.cache_max_bytes = cache_max_bytes
-        # plan templates read back from the backend, waiting for a
-        # load_program whose fingerprint matches the one they were
-        # planned under (see _adopt_persisted_plans)
-        self._pending_plans: list[PersistedPlan] = []
+        # per snapshot tier, the records read back from the backend and
+        # waiting for a load_program whose fingerprint matches the one
+        # they were computed under (see _adopt_persisted_plans)
+        self._staged: dict[str, list[snapshot.Staged[Any]]] = {}
         self._storage_closed = False
         self._close_lock = threading.Lock()
         # self-healing: a health registry (breakers + latency windows) is
@@ -286,7 +269,6 @@ class Mediator:
         # single-flight over subplan keys, shared across queries: one
         # concurrent query's prefix materialization feeds another's
         self.subplan_flight = SingleFlight(self.metrics)
-        self._pending_subplans: list[PersistedSubplan] = []
         self.executor = Executor(
             self.registry,
             self.clock,
@@ -317,9 +299,13 @@ class Mediator:
         self.guided_search = guided_search
         self.use_plan_cache = use_plan_cache
         self.plan_cache = PlanCache(max_entries=plan_cache_entries)
-        # bumped whenever the planning inputs change (rules, invariants):
-        # plan-cache entries from an older epoch are invalid
-        self._plan_epoch = 0
+        # the enabled tiers persisted per program (repro.storage.snapshot),
+        # under the name their storage.warm_start.* metrics carry
+        self._snapshot_tiers: dict[str, snapshot.SnapshotTier[Any]] = {}
+        if use_plan_cache:
+            self._snapshot_tiers["plans"] = self.plan_cache
+        if use_subplan_cache:
+            self._snapshot_tiers["subplans"] = self.subplan_cache
         # paper §8's proposed remedy for first-answer underprediction:
         # "cache ... the time for the first answer of predicates in the
         # same way we cache statistics for domain calls".  When enabled,
@@ -346,16 +332,18 @@ class Mediator:
 
         CIM entries and DCSM observations restore immediately (they are
         valid regardless of what program gets loaded).  Plan templates
-        are only *staged*: a template is valid for exactly the program it
-        was planned under, so each one waits for a ``load_program`` /
-        ``add_invariant`` whose fingerprint matches (see
-        :meth:`_adopt_persisted_plans`); the rest are dropped at the next
-        :meth:`flush_storage`, never replayed.
+        and subplan results are only *staged*: they are valid for exactly
+        the program they were computed under, so each one waits for a
+        ``load_program`` / ``add_invariant`` whose fingerprint matches
+        (see :meth:`_adopt_persisted_plans`); the rest are dropped at the
+        next :meth:`flush_storage`, never replayed.
         """
         cim_loaded = self.cim.cache.load_from_backend(now_ms=self.clock.now_ms)
         dcsm_loaded = self.dcsm.load_from_backend()
-        self._pending_plans = load_plan_records(self.storage)
-        self._pending_subplans = load_subplan_records(self.storage)
+        self._staged = {
+            name: snapshot.stage(tier, self.storage)
+            for name, tier in self._snapshot_tiers.items()
+        }
         self.metrics.inc("storage.warm_start.cim_entries", float(cim_loaded))
         self.metrics.inc(
             "storage.warm_start.dcsm_observations", float(dcsm_loaded)
@@ -390,66 +378,46 @@ class Mediator:
         return hasher.hexdigest()
 
     def _adopt_persisted_plans(self) -> None:
-        """Install staged plan templates if the program now matches them.
+        """Install staged records if the program now matches them.
 
-        Adopted entries are re-stamped with the live plan epoch and DCSM
-        version; ``summarize()`` runs first so the version they carry is
-        the one the next lookup will compare against (otherwise the first
-        estimate would bump it and lazily drop every adopted plan).
+        Adopted entries are re-stamped with the live epoch and DCSM
+        version; ``summarize()`` runs first — once, for every tier — so
+        the version they carry is the one the next lookup will compare
+        against (otherwise the first estimate would bump it and lazily
+        drop every adopted entry).
         """
-        adopt_plans = bool(self._pending_plans) and self.use_plan_cache
-        adopt_subplans = bool(self._pending_subplans) and self.use_subplan_cache
-        if not (adopt_plans or adopt_subplans):
+        if not any(self._staged.values()):
             return
         fingerprint = self._program_fingerprint()
-        if adopt_plans:
-            adopt_plans = any(
-                r.fingerprint == fingerprint for r in self._pending_plans
-            )
-        if adopt_subplans:
-            adopt_subplans = any(
-                r.fingerprint == fingerprint for r in self._pending_subplans
-            )
-        if not (adopt_plans or adopt_subplans):
+        if not any(
+            record.fingerprint == fingerprint
+            for staged in self._staged.values()
+            for record in staged
+        ):
             return
-        # one summarize for both tiers: a second bump would immediately
-        # stale whichever tier was stamped first
         self.dcsm.summarize()
-        if adopt_plans:
-            adopted, self._pending_plans = adopt_plan_records(
-                self.plan_cache,
-                self._pending_plans,
+        for name, staged in self._staged.items():
+            adopted, self._staged[name] = snapshot.adopt(
+                self._snapshot_tiers[name],
+                staged,
                 fingerprint,
-                epoch=self._plan_epoch,
-                dcsm_version=self.dcsm.version,
-            )
-            if adopted:
-                self.metrics.inc("storage.warm_start.plans_adopted", float(adopted))
-                self.metrics.inc("storage.warm_start.entries_loaded", float(adopted))
-        if adopt_subplans:
-            adopted, self._pending_subplans = adopt_subplan_records(
-                self.subplan_cache,
-                self._pending_subplans,
-                fingerprint,
-                dcsm_version=self.dcsm.version,
                 now_ms=self.clock.now_ms,
+                dcsm_version=self.dcsm.version,
             )
             if adopted:
-                self.metrics.inc(
-                    "storage.warm_start.subplans_adopted", float(adopted)
-                )
+                self.metrics.inc(f"storage.warm_start.{name}_adopted", float(adopted))
                 self.metrics.inc("storage.warm_start.entries_loaded", float(adopted))
 
     def flush_storage(self) -> None:
         """Make the mirrored cache state durable.
 
         CIM entries re-sync (capturing hit counts accumulated since they
-        were first mirrored), the plan cache snapshots wholesale under
-        the current program fingerprint — skipping lazily-invalidated
-        entries whose epoch or DCSM version is stale, which must not
-        masquerade as current-program plans on the next warm start —
-        and the backend flushes crash-consistently.  Staged warm-start
-        plans that no program claimed are dropped here.
+        were first mirrored), the plan and subplan tiers snapshot
+        wholesale under the current program fingerprint — skipping
+        lazily-invalidated entries whose epoch or DCSM version is stale,
+        which must not masquerade as current-program entries on the next
+        warm start — and the backend flushes crash-consistently.  Staged
+        warm-start records that no program claimed are dropped here.
 
         Raises :class:`~repro.errors.ReproError` after :meth:`close` —
         the backend is gone, and silently "flushing" nowhere would let
@@ -461,32 +429,21 @@ class Mediator:
 
     def _flush_storage(self) -> None:
         self.cim.cache.sync_backend()
-        if self.use_plan_cache:
-            save_plan_cache(
-                self.plan_cache,
+        fingerprint = self._program_fingerprint()
+        for tier in self._snapshot_tiers.values():
+            snapshot.save(
+                tier,
                 self.storage,
-                self._program_fingerprint(),
-                epoch=self._plan_epoch,
+                fingerprint,
+                now_ms=self.clock.now_ms,
                 dcsm_version=self.dcsm.version,
             )
-        if self.use_subplan_cache:
-            save_subplan_cache(
-                self.subplan_cache,
-                self.storage,
-                self._program_fingerprint(),
-                dcsm_version=self.dcsm.version,
-            )
-        if self._pending_plans:
-            self.metrics.inc(
-                "storage.warm_start.plans_dropped", float(len(self._pending_plans))
-            )
-            self._pending_plans = []
-        if self._pending_subplans:
-            self.metrics.inc(
-                "storage.warm_start.subplans_dropped",
-                float(len(self._pending_subplans)),
-            )
-            self._pending_subplans = []
+        for name, staged in self._staged.items():
+            if staged:
+                self.metrics.inc(
+                    f"storage.warm_start.{name}_dropped", float(len(staged))
+                )
+        self._staged = {}
         self.storage.flush()
 
     @property
@@ -572,10 +529,7 @@ class Mediator:
             program = parse_program(program)
         for rule in program:
             self.program.add(rule)
-        self._rewriter = None
-        self._plan_epoch += 1
-        self.subplan_cache.bump_epoch()
-        self._adopt_persisted_plans()
+        self._program_changed()
 
     def add_rule(self, rule: "str | Rule") -> None:
         if isinstance(rule, str):
@@ -584,10 +538,7 @@ class Mediator:
                 self.program.add(parsed)
         else:
             self.program.add(rule)
-        self._rewriter = None
-        self._plan_epoch += 1
-        self.subplan_cache.bump_epoch()
-        self._adopt_persisted_plans()
+        self._program_changed()
 
     def add_invariant(self, invariant: "str | Invariant") -> None:
         if isinstance(invariant, str):
@@ -595,7 +546,15 @@ class Mediator:
         self.cim.add_invariant(invariant)
         # a new invariant changes what CIM routing can answer, so cached
         # plan choices (made without it) are stale
-        self._plan_epoch += 1
+        self._program_changed()
+
+    def _program_changed(self) -> None:
+        """The planning inputs (rules, invariants) changed: rebuild the
+        rewriter on next use, put every entry planned or materialized
+        under the old program out of reach, and let staged warm-start
+        records claim the new program if it is theirs."""
+        self._rewriter = None
+        self.plan_cache.bump_epoch()
         self.subplan_cache.bump_epoch()
         self._adopt_persisted_plans()
 
@@ -752,7 +711,7 @@ class Mediator:
         )
         canonical = canonicalize(query)
         abstract_key = prefix + canonical.key
-        epoch = self._plan_epoch
+        epoch = self.plan_cache.epoch
 
         if self.use_plan_cache:
             entry = self.plan_cache.get(abstract_key, epoch, self.dcsm.version)

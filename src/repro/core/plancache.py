@@ -18,15 +18,20 @@ reports through ``Expansion.unified_away``; such queries are
 **value-dependent** — the abstract key stores a marker and the concrete
 plan is cached under an exact key that includes the constants.
 
-Invalidation is epoch-based:
+The cache is one policy over the shared cache-tier core
+(:class:`repro.storage.tier.CacheStore`, docs/CACHING.md): string keys,
+:class:`CachedPlan` values, an entry budget evicted oldest-used first,
+and the stamps
 
-* the mediator bumps its plan epoch on program reload, ``add_rule`` and
-  ``add_invariant`` — every entry from an older epoch is dead;
-* ``notify_source_changed`` evicts exactly the entries whose plans call
-  the changed ``(domain, function)``;
-* the DCSM bumps its ``version`` on every ``summarize()`` — an entry
-  priced against older statistics is dropped lazily at lookup time
-  (value-dependent markers carry no prices and survive).
+* **epoch** — the mediator bumps the cache's epoch on program reload,
+  ``add_rule`` and ``add_invariant``; every entry from an older epoch is
+  dead (dropped lazily at lookup);
+* **statistics version** — the DCSM bumps its ``version`` on every
+  ``summarize()``; an entry priced against older statistics is dropped
+  lazily at lookup (value-dependent markers carry no prices and survive);
+
+plus the store's source index: ``notify_source_changed`` drops exactly
+the entries whose plans call the changed ``(domain, function)``.
 
 Ground comparisons (both sides constants) are *not* abstracted: the
 rewriter constant-folds them — ``5 > 3`` drops, ``3 > 5`` kills the
@@ -35,11 +40,8 @@ rewriting — and that decision is exactly a dependence on the values.
 
 from __future__ import annotations
 
-import pickle
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.core.model import (
     Comparison,
@@ -52,10 +54,11 @@ from repro.core.model import (
 from repro.core.plans import Plan
 from repro.core.terms import Constant, Term, Variable
 from repro.dcsm.vectors import CostVector
-from repro.errors import ReproError, StorageError
-
-if TYPE_CHECKING:
-    from repro.storage.backend import StorageBackend
+from repro.errors import ReproError
+from repro.serialization import decode_plan, decode_vector, encode_plan, encode_vector
+from repro.storage.backend import STORE_PLANCACHE
+from repro.storage.snapshot import decode_bookkeeping, encode_bookkeeping
+from repro.storage.tier import CacheStore, Entry, TierStats
 
 #: parameter variables contain ``#`` so they can never collide with a
 #: parser-produced variable name (see :func:`repro.core.unify.fresh_variable`)
@@ -153,24 +156,32 @@ def exact_key(query: Query) -> str:
     return f"exact::{query}"
 
 
-@dataclass
-class CachedPlan:
+#: Bump when the persisted record layout changes.  Version 1 was a
+#: pickle; those records are deleted unread on warm start.
+PLAN_RECORD_VERSION = 2
+
+
+@dataclass(slots=True)
+class CachedPlan(Entry):
     """One plan-cache entry.
 
     ``template`` is the *unrouted* winning plan over ``params`` (or the
     concrete plan when ``params`` is empty); ``vector`` its estimated
     cost, ``None`` when the search could not price any ordering.  A
     ``value_dependent`` entry is a marker: the shape's plan depends on
-    the constant values, look under the exact key instead.
+    the constant values, look under the exact key instead.  ``sources``,
+    ``epoch`` and ``dcsm_version`` are the store's bookkeeping
+    (:class:`~repro.storage.tier.Entry`).
     """
 
     template: Optional[Plan]
     vector: Optional[CostVector]
     params: tuple[Variable, ...]
-    sources: frozenset[tuple[str, str]]
-    epoch: int
-    dcsm_version: int
     value_dependent: bool = False
+
+    @property
+    def versioned(self) -> bool:
+        return not self.value_dependent  # a marker carries no prices
 
     def instantiate(self, constants: tuple[Constant, ...]) -> Plan:
         """The template with this query's constants substituted in."""
@@ -187,222 +198,112 @@ class CachedPlan:
 
 
 class PlanCache:
-    """LRU cache of plan templates with epoch/version validation.
+    """Plan templates under an entry budget, validated by epoch and
+    statistics version.  Thread-safe (the store's lock): a shared
+    mediator serves concurrent sessions.
 
-    Thread-safe: a shared mediator serves concurrent sessions, and an
-    unguarded ``get`` races ``invalidate_source`` (deleting under an
-    iterator) and its own stale-evict/``move_to_end`` bookkeeping.  One
-    re-entrant lock guards every entry access and the hit/miss counters.
+    Snapshotted to the ``plancache`` backend namespace at flush time and
+    adopted on warm start by :mod:`repro.storage.snapshot`; records are
+    versioned JSON through :mod:`repro.serialization`.
     """
 
+    namespace = STORE_PLANCACHE
+    record_version = PLAN_RECORD_VERSION
+
     def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # drop reasons, itemized for the per-tier cache summary
-        # (``evictions`` above stays the total, for compatibility)
-        self.invalidations: dict[str, int] = {
-            "epoch": 0,
-            "dcsm_version": 0,
-            "source": 0,
-            "eviction": 0,
-        }
+        self._tier: CacheStore[str, CachedPlan] = CacheStore(max_entries=max_entries)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._tier)
 
     def get(self, key: str, epoch: int, dcsm_version: int) -> Optional[CachedPlan]:
         """The entry under ``key`` if it is still valid, else ``None``
-        (stale entries are evicted on the way out).  Counts a hit or a
+        (stale entries are dropped on the way out).  Counts a hit or a
         miss; a marker counts as neither — the caller retries with the
         exact key, and that lookup decides.
         """
-        with self._lock:
-            entry = self._entries.get(key)
+        tier = self._tier
+        with tier.lock:
+            entry = tier.find(key, None, epoch, dcsm_version)
             if entry is None:
-                self.misses += 1
+                tier.misses += 1
                 return None
-            if entry.epoch != epoch or (
-                not entry.value_dependent and entry.dcsm_version != dcsm_version
-            ):
-                del self._entries[key]
-                self.evictions += 1
-                self.invalidations[
-                    "epoch" if entry.epoch != epoch else "dcsm_version"
-                ] += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
+            tier.touch(key, entry, 0.0)
             if not entry.value_dependent:
-                self.hits += 1
+                tier.hits += 1
             return entry
 
     def put(self, key: str, entry: CachedPlan) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                self.invalidations["eviction"] += 1
+        self._tier.put(key, entry)
 
-    def items(self) -> Iterator[tuple[str, CachedPlan]]:
-        """Snapshot of ``(key, entry)`` pairs (persistence walks this)."""
-        with self._lock:
-            return iter(list(self._entries.items()))
+    adopt = put
+
+    def items(self) -> list[tuple[str, CachedPlan]]:
+        """Snapshot of ``(key, entry)`` pairs."""
+        return self._tier.items()
+
+    def live_items(self, now_ms: float, dcsm_version: int) -> list[tuple[str, CachedPlan]]:
+        """The entries a lookup would accept right now."""
+        return self._tier.live_items(None, self._tier.epoch, dcsm_version)
+
+    @property
+    def epoch(self) -> int:
+        """The program epoch new entries must be stamped with."""
+        return self._tier.epoch
+
+    def bump_epoch(self) -> None:
+        self._tier.bump_epoch()
 
     def invalidate_source(self, domain: str, function: Optional[str] = None) -> int:
         """Drop every entry whose plan calls the changed source."""
-        with self._lock:
-            dead = [
-                key
-                for key, entry in self._entries.items()
-                if any(
-                    d == domain and (function is None or f == function)
-                    for d, f in entry.sources
-                )
-            ]
-            for key in dead:
-                del self._entries[key]
-            self.evictions += len(dead)
-            self.invalidations["source"] += len(dead)
-            return len(dead)
+        return self._tier.invalidate_source(domain, function)
 
     def clear(self) -> int:
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.evictions += dropped
-            self.invalidations["eviction"] += dropped
-            return dropped
+        """Empty the cache and zero its counters; returns the number of
+        entries removed."""
+        return self._tier.clear()
 
+    # -- counters ------------------------------------------------------------------
 
-# -- persistence (warm restart) ------------------------------------------------
-#
-# Plan templates are pickled (they are graphs of frozen dataclasses; a
-# JSON codec would re-implement half the term language for no benefit)
-# together with the *program fingerprint* they were planned under.
-#
-# SECURITY — the storage location is a trust boundary.  ``pickle.loads``
-# executes code chosen by whoever can write the store, so a plan store
-# must live in a directory only the mediator's user can write (the
-# default path expansion creates a per-user 0700 directory; see
-# ``Mediator`` and docs/STORAGE.md).  Never point ``storage=`` /
-# ``$REPRO_STORAGE_PATH`` at a world-writable location.
-#
-# A
-# restarted mediator's epoch counter starts from zero again, so raw
-# epochs cannot validate across processes — the fingerprint (a hash of
-# the rules and invariants) is the cross-process epoch.  At adoption
-# time entries whose fingerprint matches the current program are
-# re-stamped with the live epoch and DCSM version; anything else is a
-# stale plan and is dropped, not replayed.
+    @property
+    def stats(self) -> TierStats:
+        return self._tier.stats()
 
-PLAN_RECORD_VERSION = 1
+    @property
+    def hits(self) -> int:
+        return self._tier.hits
 
+    @property
+    def misses(self) -> int:
+        return self._tier.misses
 
-@dataclass(frozen=True)
-class PersistedPlan:
-    """One plan-cache record as read back from a storage backend."""
+    @property
+    def invalidations(self) -> dict[str, int]:
+        """Drops by reason."""
+        return dict(self._tier.drops)
 
-    key: str
-    fingerprint: str
-    entry: CachedPlan
+    @property
+    def evictions(self) -> int:
+        """Every entry dropped, whatever the reason."""
+        return sum(self._tier.drops.values())
 
+    # -- snapshot codec ------------------------------------------------------------
 
-def save_plan_cache(
-    cache: PlanCache,
-    backend: "StorageBackend",
-    fingerprint: str,
-    epoch: int,
-    dcsm_version: int,
-    store: str = "plancache",
-) -> int:
-    """Rewrite the backend's plan store with the cache's *valid* entries.
+    def encode(self, entry: CachedPlan) -> dict[str, Any]:
+        return {
+            **encode_bookkeeping(entry),
+            "template": None if entry.template is None else encode_plan(entry.template),
+            "vector": encode_vector(entry.vector),
+            "params": [param.name for param in entry.params],
+            "value_dependent": entry.value_dependent,
+        }
 
-    The store is replaced wholesale: plans dropped since the last save
-    (evictions, invalidations) must not resurrect on the next warm
-    start.  Invalidation is lazy — entries whose epoch predates an
-    ``add_rule``/``add_invariant``/``load_program`` bump, or whose DCSM
-    version is stale, linger in the cache until looked up — so the
-    snapshot applies the same validity check :meth:`PlanCache.get` does
-    against the live ``epoch`` and ``dcsm_version``.  Persisting a
-    stale entry under the current fingerprint would resurrect it on
-    warm restart as if it were planned under the current program.
-    Returns the number of entries written.
-    """
-    for key, __ in list(backend.scan_prefix(store, "")):
-        backend.delete(store, key)
-    count = 0
-    for key, entry in cache.items():
-        if entry.epoch != epoch or (
-            not entry.value_dependent and entry.dcsm_version != dcsm_version
-        ):
-            continue
-        payload = pickle.dumps(
-            {
-                "version": PLAN_RECORD_VERSION,
-                "key": key,
-                "fingerprint": fingerprint,
-                "entry": entry,
-            }
+    def decode(self, payload: dict[str, Any]) -> CachedPlan:
+        template = payload["template"]
+        return CachedPlan(
+            template=None if template is None else decode_plan(template),
+            vector=decode_vector(payload["vector"]),
+            params=tuple(Variable(name) for name in payload["params"]),
+            value_dependent=bool(payload["value_dependent"]),
+            **decode_bookkeeping(payload),
         )
-        backend.put(store, f"plan:{count:06d}", payload)
-        count += 1
-    return count
-
-
-def load_plan_records(
-    backend: "StorageBackend", store: str = "plancache"
-) -> list[PersistedPlan]:
-    """All decodable persisted plan records (undecodable ones are
-    deleted from the backend — a stale plan is dropped, not replayed)."""
-    records: list[PersistedPlan] = []
-    for key, data in list(backend.scan_prefix(store, "")):
-        try:
-            payload = pickle.loads(data)
-            if payload.get("version") != PLAN_RECORD_VERSION:
-                raise StorageError(
-                    f"unsupported plan record version {payload.get('version')!r}"
-                )
-            records.append(
-                PersistedPlan(
-                    key=payload["key"],
-                    fingerprint=payload["fingerprint"],
-                    entry=payload["entry"],
-                )
-            )
-        except Exception:
-            backend.delete(store, key)
-    return records
-
-
-def adopt_plan_records(
-    cache: PlanCache,
-    records: list[PersistedPlan],
-    fingerprint: str,
-    epoch: int,
-    dcsm_version: int,
-) -> tuple[int, list[PersistedPlan]]:
-    """Install the records matching ``fingerprint`` into ``cache``.
-
-    Matching entries are re-stamped with the live ``epoch`` and
-    ``dcsm_version`` (their prices were derived from the statistics the
-    warm start just reloaded).  Returns ``(adopted, remaining)`` where
-    ``remaining`` holds the records that did not match — a later
-    ``load_program`` may still claim them.
-    """
-    adopted = 0
-    remaining: list[PersistedPlan] = []
-    for record in records:
-        if record.fingerprint != fingerprint:
-            remaining.append(record)
-            continue
-        entry = replace(record.entry, epoch=epoch, dcsm_version=dcsm_version)
-        cache.put(record.key, entry)
-        adopted += 1
-    return adopted, remaining

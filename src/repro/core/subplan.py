@@ -18,24 +18,28 @@ prefix is semantically identical:
   queries (different variable names, same shape and same constant values)
   collide.  Constant *values* stay in the key: unlike a plan template, a
   materialized result depends on them.
-* Entries remember the set of sources their prefix touched and are
-  invalidated along every path the other tiers already honour: program
-  epoch bump, ``notify_source_changed``, DCSM version stamps, and TTL.
-  Under a byte budget the evictor scores entries by recompute cost x hit
-  frequency per byte (``storage/evictor.py``).
+* The cache is one policy over the shared cache-tier core
+  (:class:`repro.storage.tier.CacheStore`, docs/CACHING.md).  Entries
+  remember the set of sources their prefix touched and are invalidated
+  along every path the other tiers honour: program epoch bump,
+  ``notify_source_changed``, DCSM version stamps, and TTL.  Under a byte
+  budget entries are scored by recompute cost x hit frequency per byte
+  (``storage/evictor.py``); an entry that alone overflows the budget is
+  refused.
+* A run takes a :meth:`SubplanResultCache.ticket` before it dials and
+  hands it back with the rows: if the program or one of the prefix's
+  sources changed while the run was in flight, the rows are refused
+  (reason ``raced``) rather than stored with the new stamps.
 
-Persistence mirrors ``core/plancache.py``: entries mirror to a storage
-backend under the ``subplan`` namespace as versioned JSON (answer rows are
-plain mediator values, so no pickling is needed) and are adopted on warm
-restart only when the program fingerprint matches.
+Entries are snapshotted to the ``subplan`` backend namespace at flush
+time and adopted on warm start by :mod:`repro.storage.snapshot`, as
+versioned JSON (answer rows are plain mediator values).
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.core.model import Comparison
@@ -44,30 +48,15 @@ from repro.core.terms import AttrPath, Constant, Term, Value, Variable, value_by
 from repro.core.unify import Substitution, resolve
 from repro.errors import StorageError
 from repro.serialization import decode_value, encode_value
+from repro.storage.backend import STORE_SUBPLAN
+from repro.storage.snapshot import decode_bookkeeping, encode_bookkeeping
+from repro.storage.tier import REASON_RACED, CacheStore, Entry, Ticket, TierStats
 
 if TYPE_CHECKING:
-    from repro.storage.backend import StorageBackend
     from repro.storage.evictor import CostFrequencyEvictor
-
-#: Storage namespace for persisted subplan entries (PR 6 backends).
-STORE_SUBPLAN = "subplan"
 
 #: Bump when the persisted record layout changes.
 SUBPLAN_RECORD_VERSION = 1
-
-#: Invalidation reasons surfaced in the per-tier cache summary.
-REASON_EPOCH = "epoch"
-REASON_SOURCE = "source"
-REASON_DCSM_VERSION = "dcsm_version"
-REASON_TTL = "ttl"
-REASON_EVICTION = "eviction"
-INVALIDATION_REASONS = (
-    REASON_EPOCH,
-    REASON_SOURCE,
-    REASON_DCSM_VERSION,
-    REASON_TTL,
-    REASON_EVICTION,
-)
 
 #: One materialized binding: the values of the prefix's variables in
 #: ``CanonicalPrefix.var_order`` order.
@@ -208,40 +197,17 @@ def row_subst(
     return subst
 
 
-@dataclass
-class SubplanEntry:
-    """One materialized prefix result."""
+@dataclass(slots=True)
+class SubplanEntry(Entry):
+    """One materialized prefix result (bookkeeping fields:
+    :class:`~repro.storage.tier.Entry`)."""
 
     key: str
     pattern: str
     rows: tuple[SubplanRow, ...]
-    sources: frozenset[tuple[str, str]]
-    epoch: int
-    dcsm_version: int
-    stored_at_ms: float
     #: Measured cost of the materialization (simulated ms) — the
     #: recompute-cost input to the benefit-density eviction score.
     cost_ms: float
-    answer_bytes: int = 0
-    hits: int = 0
-    last_used_ms: float = 0.0
-
-
-@dataclass
-class SubplanStats:
-    """Counters for the subplan tier (per-tier cache summary)."""
-
-    lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    invalidations: dict[str, int] = field(
-        default_factory=lambda: {reason: 0 for reason in INVALIDATION_REASONS}
-    )
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class SubplanResultCache:
@@ -251,9 +217,12 @@ class SubplanResultCache:
     entry's epoch stamp against the cache's own epoch counter (bumped by
     the mediator on program change), its DCSM version stamp against
     ``dcsm_version_fn()``, and its age against the TTL, dropping stale
-    entries with a per-reason counter.  ``invalidate_source`` drops
-    eagerly via a by-source index.
+    entries under a per-reason counter.  ``invalidate_source`` drops
+    eagerly via the store's by-source index.
     """
+
+    namespace = STORE_SUBPLAN
+    record_version = SUBPLAN_RECORD_VERSION
 
     def __init__(
         self,
@@ -264,34 +233,53 @@ class SubplanResultCache:
         metrics: Optional[Any] = None,
         dcsm_version_fn: Optional[Callable[[], int]] = None,
     ):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.ttl_ms = ttl_ms
         self.evictor = evictor
         self.metrics = metrics
-        self.epoch = 0
         self._dcsm_version_fn = dcsm_version_fn
-        self._entries: "OrderedDict[str, SubplanEntry]" = OrderedDict()
-        self._by_source: dict[tuple[str, str], set[str]] = {}
-        self._bytes = 0
-        self._lock = threading.RLock()
-        self.stats = SubplanStats()
+        score: Optional[Callable[[SubplanEntry], float]] = None
+        if evictor is not None:
+            score_parts = evictor.score_parts
+            score = lambda e: score_parts(e.cost_ms, e.hits, e.answer_bytes)
+        self._tier: CacheStore[str, SubplanEntry] = CacheStore(
+            max_entries, max_bytes, ttl_ms, score, self._on_drop
+        )
+
+    def _on_drop(self, key: str, entry: SubplanEntry, reason: Optional[str]) -> None:
+        if reason is not None:
+            self._inc(f"subplan.invalidations.{reason}")
+
+    def _version(self) -> Optional[int]:
+        return self._dcsm_version_fn() if self._dcsm_version_fn is not None else None
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def entry_count(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._tier)
 
     @property
     def total_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
+        return self._tier.total_bytes
+
+    @property
+    def max_bytes(self) -> Optional[int]:
+        return self._tier.max_bytes
+
+    @property
+    def epoch(self) -> int:
+        return self._tier.epoch
+
+    @property
+    def stats(self) -> TierStats:
+        """Hit/miss/insertion counters, occupancy and drops by reason."""
+        return self._tier.stats()
 
     def items(self) -> list[tuple[str, SubplanEntry]]:
-        with self._lock:
-            return list(self._entries.items())
+        return self._tier.items()
+
+    def live_items(self, now_ms: float, dcsm_version: int) -> list[tuple[str, SubplanEntry]]:
+        """The entries a lookup would accept right now."""
+        return self._tier.live_items(now_ms, self._tier.epoch, dcsm_version)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -301,43 +289,32 @@ class SubplanResultCache:
         """Return the first live entry among ``keys`` (callers order them
         longest-prefix-first), counting exactly one lookup and one hit or
         miss regardless of how many candidate cuts were probed."""
-        with self._lock:
-            self.stats.lookups += 1
+        tier = self._tier
+        with tier.lock:
+            epoch, version = tier.epoch, self._version()
             for key in keys:
-                entry = self._validated(key, now_ms)
+                entry = tier.find(key, now_ms, epoch, version)
                 if entry is not None:
-                    entry.hits += 1
-                    entry.last_used_ms = now_ms
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
+                    tier.touch(key, entry, now_ms)
+                    tier.hits += 1
                     self._inc("subplan.hits")
                     return key, entry
-            self.stats.misses += 1
+            tier.misses += 1
             self._inc("subplan.misses")
             return None
 
     def peek(self, key: str, now_ms: float) -> Optional[SubplanEntry]:
         """Validation without hit/miss accounting — the planner's probe
         (pricing a candidate prefix must not skew executor hit rates)."""
-        with self._lock:
-            return self._validated(key, now_ms)
-
-    def _validated(self, key: str, now_ms: float) -> Optional[SubplanEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if entry.epoch != self.epoch:
-            self._remove(key, REASON_EPOCH)
-            return None
-        if self._dcsm_version_fn is not None and entry.dcsm_version != self._dcsm_version_fn():
-            self._remove(key, REASON_DCSM_VERSION)
-            return None
-        if self.ttl_ms is not None and now_ms - entry.stored_at_ms >= self.ttl_ms:
-            self._remove(key, REASON_TTL)
-            return None
-        return entry
+        tier = self._tier
+        with tier.lock:
+            return tier.find(key, now_ms, tier.epoch, self._version())
 
     # -- population ------------------------------------------------------------
+
+    def ticket(self) -> Ticket:
+        """Taken by a run before it dials; see :meth:`put`."""
+        return self._tier.ticket()
 
     def put(
         self,
@@ -345,240 +322,79 @@ class SubplanResultCache:
         rows: Sequence[SubplanRow],
         now_ms: float,
         cost_ms: float,
+        ticket: Ticket,
     ) -> Optional[SubplanEntry]:
-        """Materialize a prefix result.  Returns the stored entry, or
-        ``None`` when the entry alone would overflow the byte budget."""
+        """Materialize a prefix result computed since ``ticket`` was taken.
+        Returns the stored entry, or ``None`` when the entry alone would
+        overflow the byte budget, or when the program or one of the
+        prefix's sources changed since the ticket (the rows may predate
+        the change; counted under ``raced``)."""
         nbytes = sum(
             sum(value_bytes(value) for value in row) for row in rows
         ) + len(canonical.key)
         if self.max_bytes is not None and nbytes > self.max_bytes:
             return None
-        # Stamp epoch/dcsm under the lock: a concurrent bump_epoch between
-        # reading the stamps and inserting would tag rows computed under
-        # the old program with the new epoch, letting them pass validation.
-        with self._lock:
-            entry = SubplanEntry(
-                key=canonical.key,
-                pattern=canonical.pattern,
-                rows=tuple(rows),
-                sources=canonical.sources,
-                epoch=self.epoch,
-                dcsm_version=self._dcsm_version_fn() if self._dcsm_version_fn else 0,
-                stored_at_ms=now_ms,
-                cost_ms=max(cost_ms, 0.0),
-                answer_bytes=nbytes,
-                last_used_ms=now_ms,
-            )
-            self._insert(entry)
+        entry = SubplanEntry(
+            key=canonical.key,
+            pattern=canonical.pattern,
+            rows=tuple(rows),
+            cost_ms=max(cost_ms, 0.0),
+            sources=canonical.sources,
+            answer_bytes=nbytes,
+            epoch=ticket[0],
+            dcsm_version=self._version() or 0,
+            stored_at_ms=now_ms,
+            last_used_ms=now_ms,
+        )
+        if self._tier.put(canonical.key, entry, ticket) is None:
+            self._inc(f"subplan.invalidations.{REASON_RACED}")
+            return None
+        self._inc("subplan.materialized_bytes", float(nbytes))
         return entry
 
-    def adopt(self, entry: SubplanEntry) -> None:
+    def adopt(self, key: str, entry: SubplanEntry) -> None:
         """Insert a (re-stamped) persisted entry — warm restart."""
-        with self._lock:
-            self._insert(entry)
-
-    def _insert(self, entry: SubplanEntry) -> None:
-        if entry.key in self._entries:
-            self._remove(entry.key, REASON_EVICTION, count=False)
-        self._entries[entry.key] = entry
-        self._bytes += entry.answer_bytes
-        for source in entry.sources:
-            self._by_source.setdefault(source, set()).add(entry.key)
-        self.stats.insertions += 1
+        self._tier.put(key, entry)
         self._inc("subplan.materialized_bytes", float(entry.answer_bytes))
-        self._evict(protect=entry.key)
-
-    def _evict(self, protect: str) -> None:
-        while self._entries and (
-            len(self._entries) > self.max_entries
-            or (self.max_bytes is not None and self._bytes > self.max_bytes)
-        ):
-            victim = self._pick_victim(protect)
-            if victim is None:
-                break
-            self._remove(victim, REASON_EVICTION)
-
-    def _pick_victim(self, protect: str) -> Optional[str]:
-        candidates = [key for key in self._entries if key != protect]
-        if not candidates:
-            return None
-        if self.evictor is None:
-            return candidates[0]  # insertion/recency order: LRU
-        evictor = self.evictor
-
-        def score(key: str) -> float:
-            entry = self._entries[key]
-            return evictor.score_parts(entry.cost_ms, entry.hits, entry.answer_bytes)
-
-        return min(candidates, key=score)
 
     # -- invalidation ----------------------------------------------------------
 
     def bump_epoch(self) -> None:
         """Program changed: every materialized prefix is suspect.  Entries
         are dropped lazily at next validation (counted under ``epoch``)."""
-        with self._lock:
-            self.epoch += 1
+        self._tier.bump_epoch()
 
     def invalidate_source(self, domain: str, function: Optional[str] = None) -> int:
         """Eagerly drop every entry whose prefix dialed the changed
         source; ``function=None`` matches the whole domain."""
-        with self._lock:
-            doomed: set[str] = set()
-            for (entry_domain, entry_function), keys in self._by_source.items():
-                if entry_domain == domain and function in (None, entry_function):
-                    doomed |= keys
-            for key in doomed:
-                self._remove(key, REASON_SOURCE)
-            return len(doomed)
+        return self._tier.invalidate_source(domain, function)
 
-    def clear(self) -> None:
-        with self._lock:
-            for key in list(self._entries):
-                self._remove(key, REASON_EVICTION, count=False)
-
-    def _remove(self, key: str, reason: str, count: bool = True) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        self._bytes -= entry.answer_bytes
-        for source in entry.sources:
-            keys = self._by_source.get(source)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_source[source]
-        if count:
-            self.stats.invalidations[reason] = self.stats.invalidations.get(reason, 0) + 1
-            self._inc(f"subplan.invalidations.{reason}")
+    def clear(self) -> int:
+        """Empty the cache and zero its counters; returns the number of
+        entries removed."""
+        return self._tier.clear()
 
     def _inc(self, name: str, value: float = 1.0) -> None:
         if self.metrics is not None:
             self.metrics.inc(name, value)
 
+    # -- snapshot codec ------------------------------------------------------------
 
-# -- persistence (PR 6 storage backends, ``subplan`` namespace) -----------------
+    def encode(self, entry: SubplanEntry) -> dict[str, Any]:
+        return {
+            **encode_bookkeeping(entry),
+            "pattern": entry.pattern,
+            "rows": [[encode_value(value) for value in row] for row in entry.rows],
+            "cost_ms": entry.cost_ms,
+        }
 
-
-@dataclass(frozen=True)
-class PersistedSubplan:
-    """A subplan entry staged from a storage backend, awaiting adoption."""
-
-    key: str
-    fingerprint: str
-    entry: SubplanEntry
-
-
-def _encode_record(entry: SubplanEntry, fingerprint: str) -> bytes:
-    payload = {
-        "version": SUBPLAN_RECORD_VERSION,
-        "fingerprint": fingerprint,
-        "key": entry.key,
-        "pattern": entry.pattern,
-        "rows": [[encode_value(value) for value in row] for row in entry.rows],
-        "sources": sorted([domain, function] for domain, function in entry.sources),
-        "cost_ms": entry.cost_ms,
-        "answer_bytes": entry.answer_bytes,
-        "hits": entry.hits,
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
-def _decode_record(data: bytes) -> PersistedSubplan:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise StorageError(f"undecodable subplan record: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != SUBPLAN_RECORD_VERSION:
-        raise StorageError(
-            f"unsupported subplan record version {payload.get('version') if isinstance(payload, dict) else payload!r}"
-        )
-    try:
-        entry = SubplanEntry(
+    def decode(self, payload: dict[str, Any]) -> SubplanEntry:
+        return SubplanEntry(
             key=payload["key"],
             pattern=payload["pattern"],
             rows=tuple(
                 tuple(decode_value(value) for value in row) for row in payload["rows"]
             ),
-            sources=frozenset(
-                (domain, function) for domain, function in payload["sources"]
-            ),
-            epoch=0,
-            dcsm_version=0,
-            stored_at_ms=0.0,
             cost_ms=float(payload["cost_ms"]),
-            answer_bytes=int(payload["answer_bytes"]),
-            hits=int(payload["hits"]),
+            **decode_bookkeeping(payload),
         )
-        return PersistedSubplan(
-            key=entry.key, fingerprint=payload["fingerprint"], entry=entry
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"malformed subplan record: {exc}") from exc
-
-
-def save_subplan_cache(
-    cache: SubplanResultCache,
-    backend: "StorageBackend",
-    fingerprint: str,
-    dcsm_version: int,
-    store: str = STORE_SUBPLAN,
-) -> int:
-    """Persist every still-valid entry, replacing whatever the backend
-    held (wholesale rewrite, like the plan cache: the in-memory tier is
-    authoritative).  Entries whose stamps already went stale are skipped
-    rather than resurrected."""
-    for key in [key for key, _ in backend.scan_prefix(store, "")]:
-        backend.delete(store, key)
-    count = 0
-    for _, entry in cache.items():
-        if entry.epoch != cache.epoch or entry.dcsm_version != dcsm_version:
-            continue
-        backend.put(store, f"sp:{count:06d}", _encode_record(entry, fingerprint))
-        count += 1
-    return count
-
-
-def load_subplan_records(
-    backend: "StorageBackend", store: str = STORE_SUBPLAN
-) -> list[PersistedSubplan]:
-    """Stage persisted entries for adoption (they are NOT live until the
-    program is loaded and its fingerprint matches).  Undecodable records
-    are deleted so one bad write cannot wedge every restart."""
-    records: list[PersistedSubplan] = []
-    for key, data in list(backend.scan_prefix(store, "")):
-        try:
-            records.append(_decode_record(data))
-        except StorageError:
-            backend.delete(store, key)
-    return records
-
-
-def adopt_subplan_records(
-    cache: SubplanResultCache,
-    records: Sequence[PersistedSubplan],
-    fingerprint: str,
-    dcsm_version: int,
-    now_ms: float,
-) -> tuple[int, list[PersistedSubplan]]:
-    """Adopt staged entries whose fingerprint matches the loaded program,
-    re-stamped against the *current* epoch/DCSM version/clock.  Returns
-    ``(adopted_count, non_matching_records)`` — the leftovers belong to a
-    different program and must never be replayed."""
-    remaining: list[PersistedSubplan] = []
-    adopted = 0
-    for record in records:
-        if record.fingerprint != fingerprint:
-            remaining.append(record)
-            continue
-        cache.adopt(
-            replace(
-                record.entry,
-                epoch=cache.epoch,
-                dcsm_version=dcsm_version,
-                stored_at_ms=now_ms,
-                last_used_ms=now_ms,
-            )
-        )
-        adopted += 1
-    return adopted, remaining

@@ -140,6 +140,24 @@ class CostVectorDatabase:
                 self._mirror = True
         return count
 
+    def sync_backend(self) -> int:
+        """Make the attached backend hold exactly the in-memory log: the
+        step a backend attached to an already-populated database needs
+        (``attach_backend`` mirrors from then on; it does not look back).
+        Returns the number of observations written."""
+        if self.backend is None:
+            return 0
+        from repro.storage.backend import wipe_store
+
+        with self._lock:
+            wipe_store(self.backend, self.store)
+            self._backend_keys.clear()
+            self._seq.clear()
+            for bucket_key, bucket in self._buckets.items():
+                for observation in bucket:
+                    self._backend_append(bucket_key, observation)
+            return len(self)
+
     def _backend_append(self, key: tuple[str, str], observation: Observation) -> None:
         if self.backend is None or not self._mirror:
             return

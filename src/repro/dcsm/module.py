@@ -133,6 +133,12 @@ class DCSM:
         :mod:`repro.storage`); estimates keep reading memory only."""
         self.database.attach_backend(backend, store=store)
 
+    def sync_backend(self) -> int:
+        """Write the whole current log to the attached backend (replacing
+        what it held) — for a backend attached after observations were
+        recorded.  Returns the number written."""
+        return self.database.sync_backend()
+
     def load_from_backend(self) -> int:
         """Warm restart: replay persisted observations and re-register
         their source functions so summary tables rebuild over them.

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
     from repro.core.mediator import Mediator
+    from repro.storage.tier import TierStats
 
 
 def cim_data(mediator: "Mediator") -> dict[str, Any]:
@@ -39,38 +40,26 @@ def cim_data(mediator: "Mediator") -> dict[str, Any]:
 
 
 def cache_tiers_data(mediator: "Mediator") -> dict[str, Any]:
-    """Per-tier hit rate, occupancy, and invalidations by reason —
-    the data behind the shell's ``:cache`` table (docs/CACHING.md)."""
-    cim = mediator.cim.cache
-    plans = mediator.plan_cache
-    plan_lookups = plans.hits + plans.misses
-    sub = mediator.subplan_cache
+    """Per-tier hit rate, occupancy, and invalidations by reason, read
+    from each tier's store counters (:class:`repro.storage.tier.TierStats`)
+    — the data behind the shell's ``:cache`` table (docs/CACHING.md)."""
+
+    def tier(stats: "TierStats") -> dict[str, Any]:
+        return {
+            "hit_rate": stats.hit_rate,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "entries": stats.entries,
+            "bytes": stats.bytes,
+            "invalidations": stats.invalidations,
+        }
+
     return {
-        "cim": {
-            "hit_rate": cim.stats.hit_rate,
-            "entries": len(cim),
-            "bytes": cim.total_bytes,
-            "invalidations": {
-                "source": cim.source_invalidations,
-                "ttl": cim.stats.expirations,
-                "eviction": cim.stats.evictions,
-            },
-        },
-        "plan": {
-            "hit_rate": plans.hits / plan_lookups if plan_lookups else 0.0,
-            "hits": plans.hits,
-            "misses": plans.misses,
-            "entries": len(plans),
-            "invalidations": dict(plans.invalidations),
-        },
+        "cim": tier(mediator.cim.cache.stats),
+        "plan": tier(mediator.plan_cache.stats),
         "subplan": {
             "enabled": mediator.use_subplan_cache,
-            "hit_rate": sub.stats.hit_rate,
-            "hits": sub.stats.hits,
-            "misses": sub.stats.misses,
-            "entries": sub.entry_count,
-            "bytes": sub.total_bytes,
-            "invalidations": dict(sub.stats.invalidations),
+            **tier(mediator.subplan_cache.stats),
         },
     }
 

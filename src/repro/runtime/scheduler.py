@@ -71,6 +71,7 @@ from repro.errors import ErrorClass, ExecutionCancelledError, ReproError, classi
 from repro.metrics import MetricsRegistry
 from repro.runtime.dag import PlanDag
 from repro.runtime.singleflight import SingleFlight
+from repro.storage.tier import Ticket
 
 __all__ = ["CancellationToken", "WorkerPool", "pool_bindings"]
 
@@ -304,12 +305,13 @@ def _outer_bindings(
     else:
         stop = sub.cuts.index(fanout) + 1
     boundary = sub.prefixes[stop - 1]
+    ticket = sub.ticket
 
-    def materialize() -> tuple[Optional[tuple], list[dict[Variable, Term]]]:
+    def materialize() -> tuple[Optional[tuple], list[dict[Variable, Term]], Ticket]:
         outer = list(executor._bindings(boundary, sub, subst0, ctx, stop))
         # only a clean, fully enumerated prefix is handed to other queries
         rows = ctx.collectors[stop - 1] if ctx.collectors and ctx.clean() else None
-        return (None if rows is None else tuple(rows)), outer
+        return (None if rows is None else tuple(rows)), outer, ticket
 
     # A miss at the fan-out cut materializes it through the mediator-owned
     # single-flight, so a concurrent query with the same canonical prefix
@@ -321,7 +323,7 @@ def _outer_bindings(
     if flight is None or sub.stored >= stop:
         return materialize()[1], len(boundary), stop
     assert ctx.cancel_token is not None
-    (rows, outer), shared = flight.do(
+    (rows, outer, since), shared = flight.do(
         sub.canons[stop - 1].key, materialize, cancelled=ctx.cancel_token.is_cancelled
     )
     if shared:
@@ -329,6 +331,9 @@ def _outer_bindings(
             if executor.metrics is not None:
                 executor.metrics.inc("subplan.shared_flights")
             executor._subplan_adopt(sub, stop - 1, rows, 0.0, ctx)
+            # the leader may have dialed before this run opened: what is
+            # built on its rows is only as fresh as its ticket
+            sub.ticket = min(sub.ticket, since)
         # (a leader whose prefix was not cleanly materializable hands over
         # no rows: enumerate locally rather than trust a partial result)
         outer = materialize()[1]

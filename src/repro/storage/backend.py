@@ -1,20 +1,21 @@
 """The pluggable storage backend behind the mediator's caches.
 
-The CIM result cache, the DCSM cost-vector database, and the plan cache
-all keep their *hot* state in process memory (the lookup structures the
-paper's latency model depends on), and mirror durable state through a
-:class:`StorageBackend`.  A backend is a namespaced key/value store:
-every operation names a *store* — ``"cim"``, ``"dcsm"``, or
-``"plancache"`` — so one backend file can hold all three subsystems
-without key collisions, and a future multi-process deployment can share
-one on-disk artifact.
+The CIM result cache, the DCSM cost-vector database, the plan cache and
+the subplan tier all keep their *hot* state in process memory (the
+lookup structures the paper's latency model depends on), and mirror
+durable state through a :class:`StorageBackend`.  A backend is a
+namespaced key/value store: every operation names a *store* —
+``"cim"``, ``"dcsm"``, ``"plancache"`` or ``"subplan"`` — so one backend
+file can hold every subsystem without key collisions, and a future
+multi-process deployment can share one on-disk artifact.
 
 Keys are strings.  By convention cache keys lead with
 ``"domain:function:"`` so that :class:`~repro.storage.sharded.ShardedBackend`
 can place every entry of one source function in the same segment file
 (see :func:`shard_prefix`).  Values are opaque ``bytes`` — the owning
-subsystem chooses the codec (JSON for CIM/DCSM payloads, pickle for plan
-templates).
+subsystem chooses the codec; every one of them writes versioned JSON
+over :mod:`repro.serialization`, so reading a store never executes
+anything.
 
 Three implementations ship:
 
@@ -105,6 +106,12 @@ class BackendBase:
     def _note_write(self, value: bytes) -> None:
         self._inc("storage.writes")
         self._inc("storage.bytes_written", float(len(value)))
+
+
+def wipe_store(backend: StorageBackend, store: str) -> None:
+    """Delete every record of ``store`` (a wholesale rewrite starts here)."""
+    for key, __ in list(backend.scan_prefix(store, "")):
+        backend.delete(store, key)
 
 
 def shard_prefix(key: str) -> str:

@@ -4,7 +4,6 @@ over multi-source scenarios, the way a downstream user would drive them."""
 from repro.cim.manager import CimPolicy
 from repro.core.mediator import Mediator
 from repro.core.views import ViewManager
-from repro.dcsm.persistence import load_statistics, save_statistics
 from repro.domains.base import simple_domain
 from repro.workloads.datasets import (
     build_inventory_engine,
@@ -16,8 +15,8 @@ from repro.workloads.datasets import (
 class TestLogisticsLifecycle:
     """The §2 scenario driven through caching, invalidation, and views."""
 
-    def make(self) -> Mediator:
-        mediator = Mediator()
+    def make(self, **options) -> Mediator:
+        mediator = Mediator(**options)
         mediator.register_domain(build_inventory_engine(), site="maryland")
         mediator.register_domain(build_logistics_terrain(), site="bucknell")
         mediator.load_program(
@@ -61,13 +60,12 @@ class TestLogisticsLifecycle:
         assert cheapest[0] == "airstrip"
 
     def test_statistics_survive_restart(self, tmp_path):
-        first_session = self.make()
+        spec = f"sqlite:{tmp_path / 'stats.db'}"
+        first_session = self.make(storage=spec)
         first_session.query("?- routetosupplies(place1, ammo, To, Cost).")
-        path = tmp_path / "stats.json"
-        save_statistics(first_session.dcsm, path)
+        first_session.close()
 
-        second_session = self.make()
-        load_statistics(second_session.dcsm, path)
+        second_session = self.make(storage=spec, warm_start=True)
         # the new session can price plans before running anything
         plans = second_session.plans(
             "?- routetosupplies(place1, ammo, To, Cost)."

@@ -1,24 +1,32 @@
-"""Persistence round-trip tests: serialization, DCSM statistics, CIM cache."""
+"""Serialization round-trip tests, and the statistics log written to a
+backend attached after the fact (the shell's ``:save-stats``)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cim.cache import ResultCache
-from repro.cim.persistence import load_cache, save_cache
+from repro.core.mediator import Mediator
 from repro.core.model import GroundCall
-from repro.core.terms import Row
+from repro.core.parser import parse_query
+from repro.core.plancache import CachedPlan, PlanCache, canonicalize
+from repro.core.terms import AttrPath, Constant, Row, Variable
 from repro.dcsm.module import DCSM
 from repro.dcsm.patterns import BOUND, CallPattern
-from repro.dcsm.persistence import load_statistics, save_statistics
-from repro.domains.base import CallResult
+from repro.domains.base import CallResult, simple_domain
 from repro.errors import ReproError
 from repro.serialization import (
     decode_call,
+    decode_plan,
     decode_value,
     encode_call,
+    encode_plan,
     encode_value,
 )
+from repro.storage import MemoryBackend, SqliteBackend
+from repro.workloads.datasets import build_rope_testbed
+from repro.workloads.generators import generate_workload
 
 
 class TestValueCodec:
@@ -55,7 +63,29 @@ class TestValueCodec:
             decode_call({"domain": "d"})
 
 
-class TestDcsmPersistence:
+def test_result_cache_round_trip_through_a_backend():
+    """What the removed JSON file saver's tests checked of the data —
+    rows, the incomplete flag, timestamps and hit counts survive —
+    through the path that replaced it (backend write-through + load)."""
+    backend = MemoryBackend()
+    cache = ResultCache(backend=backend)
+    row = Row([("first", 4), ("last", 47)])
+    frames = GroundCall("video", "object_to_frames", ("rope", "brandon"))
+    partial = GroundCall("d", "partial", (1,))
+    cache.put(frames, (row,), now_ms=10.0)
+    cache.put(partial, ("x",), now_ms=20.0, complete=False)
+    cache.get(frames, now_ms=30.0)
+    assert cache.sync_backend() == 2
+
+    restored = ResultCache(backend=backend)
+    assert restored.load_from_backend(now_ms=100.0) == 2
+    entry = restored.peek(frames)
+    assert entry.answers[0].last == 47
+    assert (entry.stored_at_ms, entry.hits, entry.complete) == (10.0, 1, True)
+    assert not restored.peek(partial).complete
+
+
+class TestDcsmSyncBackend:
     def make_trained(self) -> DCSM:
         dcsm = DCSM()
         for arg, card, t_all in [("a", 2, 2.0), ("a", 2, 2.2), ("b", 3, 2.8)]:
@@ -71,11 +101,15 @@ class TestDcsmPersistence:
 
     def test_round_trip_preserves_estimates(self, tmp_path):
         original = self.make_trained()
-        path = tmp_path / "stats.json"
-        assert save_statistics(original, path) == 3
+        backend = SqliteBackend(tmp_path / "stats.db")
+        original.attach_backend(backend)  # attached late: mirrors from now on
+        assert list(backend.scan_prefix("dcsm", "")) == []
+        assert original.sync_backend() == 3
+        backend.close()
 
         restored = DCSM()
-        assert load_statistics(restored, path) == 3
+        restored.attach_backend(SqliteBackend(tmp_path / "stats.db"))
+        assert restored.load_from_backend() == 3
         pattern = CallPattern("d1", "p_bf", ("a",))
         assert restored.cost(pattern).t_all_ms == pytest.approx(
             original.cost(pattern).t_all_ms
@@ -85,71 +119,130 @@ class TestDcsmPersistence:
             original.cost(pattern).cardinality
         )
 
-    def test_load_appends(self, tmp_path):
+    def test_sync_replaces_what_the_backend_held(self):
+        backend = MemoryBackend()
+        first = self.make_trained()
+        first.attach_backend(backend)
+        first.sync_backend()
+        first.sync_backend()  # idempotent: a rewrite, not an append
+        assert len(list(backend.scan_prefix("dcsm", ""))) == 3
+
+    def test_load_appends(self):
+        backend = MemoryBackend()
         original = self.make_trained()
-        path = tmp_path / "stats.json"
-        save_statistics(original, path)
-        load_statistics(original, path)  # duplicate the log
+        original.attach_backend(backend)
+        original.sync_backend()
+        original.load_from_backend()  # duplicate the log
         assert original.observation_count() == 6
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "observations": []}))
-        with pytest.raises(ReproError):
-            load_statistics(DCSM(), path)
+
+# -- plan templates as JSON (the plan cache's persisted records) --------------------
 
 
-class TestCachePersistence:
-    def test_round_trip(self, tmp_path):
-        cache = ResultCache()
-        call = GroundCall("video", "frames_to_objects", ("rope", 4, 47))
-        cache.put(call, ("brandon", "phillip"), now_ms=10.0)
-        cache.put(
-            GroundCall("d", "partial", (1,)), ("x",), now_ms=20.0, complete=False
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+def _generated_mediator() -> tuple[Mediator, tuple[str, ...]]:
+    workload = generate_workload(layers=3, width=2, calls_per_leaf=2)
+    mediator = Mediator()
+    mediator.register_domain(workload.domain)
+    mediator.load_program(workload.program_text)
+    return mediator, workload.queries
+
+
+def _value_dependent_mediator() -> tuple[Mediator, tuple[str, ...]]:
+    table = {"pa": [1, 2], "pb": [7]}
+    mediator = Mediator()
+    mediator.register_domain(simple_domain("d1", {"p": lambda key: table.get(key, [])}))
+    mediator.load_program(
+        "r(a, X) :- in(X, d1:p('pa')).\nr(b, X) :- in(X, d1:p('pb'))."
+    )
+    return mediator, ("?- r(a, X).", "?- r(b, X).")
+
+
+ROPE_QUERIES = (
+    "?- actors(A).",
+    "?- objects(4, 47, O).",
+    "?- query1(4, 47, Object, Size).",
+)
+
+
+def _planned(build) -> list[tuple[str, CachedPlan]]:
+    """Every entry the planner caches for the testbed's queries, plus the
+    same queries planned against cold statistics (``vector=None``)."""
+    if build is build_rope_testbed:
+        mediator, queries = build(), ROPE_QUERIES
+    else:
+        mediator, queries = build()
+    entries: list[tuple[str, CachedPlan]] = []
+    for text in queries:  # cold statistics: the search cannot price anything
+        canonical = canonicalize(parse_query(text))
+        result = mediator.rewriter.search(
+            canonical.abstract,
+            mediator.cost_estimator,
+            bound_vars=frozenset(canonical.params),
         )
-        path = tmp_path / "cache.json"
-        assert save_cache(cache, path) == 2
+        assert not result.priced
+        entries.append(
+            (
+                f"cold {text}",
+                CachedPlan(
+                    template=result.plan,
+                    vector=None,
+                    params=canonical.params,
+                    sources=result.plan.sources(),
+                ),
+            )
+        )
+    for __ in range(3):  # run 1 observes, run 2 plans priced and caches
+        for text in queries:
+            mediator.query(text)
+    entries.extend(mediator.plan_cache.items())
+    return entries
 
-        restored = ResultCache()
-        assert load_cache(restored, path) == 2
-        entry = restored.get(call)
-        assert entry.answers == ("brandon", "phillip")
-        assert entry.stored_at_ms == 10.0
-        partial = restored.peek(GroundCall("d", "partial", (1,)))
-        assert not partial.complete
 
-    def test_load_respects_capacity(self, tmp_path):
-        cache = ResultCache()
-        for i in range(10):
-            cache.put(GroundCall("d", "f", (i,)), (i,))
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
-        small = ResultCache(max_entries=3)
-        load_cache(small, path)
-        assert len(small) == 3
+class TestPlanCodec:
+    @pytest.mark.parametrize(
+        "build", [_generated_mediator, build_rope_testbed, _value_dependent_mediator]
+    )
+    def test_every_planned_template_round_trips(self, build):
+        entries = _planned(build)
+        cache = PlanCache()
+        assert any(entry.vector is not None for __, entry in entries)
+        for label, entry in entries:
+            if entry.template is not None:
+                decoded = decode_plan(_through_json(encode_plan(entry.template)))
+                assert decoded == entry.template, label
+                assert str(decoded) == str(entry.template)
+            # stamps are not persisted: adoption re-stamps
+            unstamped = replace(entry, epoch=0, dcsm_version=0)
+            assert cache.decode(_through_json(cache.encode(entry))) == unstamped, label
 
-    def test_ttl_expiry_after_load(self, tmp_path):
-        cache = ResultCache()
-        cache.put(GroundCall("d", "f", (1,)), (1,), now_ms=0.0)
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
-        ttl_cache = ResultCache(ttl_ms=100)
-        load_cache(ttl_cache, path)
-        assert ttl_cache.get(GroundCall("d", "f", (1,)), now_ms=500.0) is None
+    def test_the_interesting_shapes_are_among_them(self):
+        """The cases the codec exists for all occur in what the planner
+        produces: ``Q#p`` parameters, attribute paths, constants, CIM
+        routing, value-dependent markers and unpriced templates."""
+        rope = _planned(build_rope_testbed)
+        terms = {
+            type(term)
+            for __, entry in rope
+            for step in entry.template.steps
+            for term in (
+                (step.atom.output, *step.atom.call.args)
+                if hasattr(step, "atom")
+                else (step.comparison.left, step.comparison.right)
+            )
+        }
+        assert terms == {AttrPath, Constant, Variable}
+        assert any(p.name.startswith("Q#p") for __, e in rope for p in e.params)
+        assert any(entry.vector is None for __, entry in rope)
+        assert any(entry.value_dependent for __, entry in _planned(_value_dependent_mediator))
+        routed = rope[0][1].template.with_cim(None)
+        assert decode_plan(_through_json(encode_plan(routed))) == routed
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 0, "entries": []}))
+    def test_undecodable_term_rejected(self):
         with pytest.raises(ReproError):
-            load_cache(ResultCache(), path)
-
-    def test_rows_survive(self, tmp_path):
-        cache = ResultCache()
-        row = Row([("first", 4), ("last", 47)])
-        call = GroundCall("video", "object_to_frames", ("rope", "brandon"))
-        cache.put(call, (row,))
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
-        restored = ResultCache()
-        load_cache(restored, path)
-        assert restored.get(call).answers[0].last == 47
+            decode_plan(
+                {"steps": [{"op": "=", "left": {"weird": 1}, "right": {"var": "X"}}]}
+            )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import stat
 import subprocess
 import sys
@@ -20,12 +21,7 @@ from repro.cim.cache import POLICY_COST, ResultCache
 from repro.cim.codec import call_key, decode_entry, encode_entry
 from repro.core.mediator import Mediator, _default_storage_root
 from repro.core.model import GroundCall
-from repro.core.plancache import (
-    CachedPlan,
-    PlanCache,
-    load_plan_records,
-    save_plan_cache,
-)
+from repro.core.plancache import CachedPlan, PlanCache
 from repro.core.terms import value_bytes
 from repro.dcsm.codec import decode_observation, encode_observation, observation_key
 from repro.dcsm.database import CostVectorDatabase
@@ -42,6 +38,7 @@ from repro.storage import (
     make_backend,
     shard_prefix,
 )
+from repro.storage import snapshot
 from repro.workloads.datasets import build_rope_testbed
 
 pytestmark = pytest.mark.storage
@@ -529,6 +526,53 @@ def test_warm_restart_drops_plans_for_changed_program(tmp_path):
     other.close()
 
 
+class _RunsOnUnpickle:
+    """Unpickling this creates a directory — a stand-in for whatever a
+    writer of the store could make ``pickle.loads`` execute."""
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (str(self.path),))
+
+
+def test_warm_start_deletes_pickled_plan_records_unread(tmp_path):
+    """Plan records used to be pickles (record version 1).  A store left
+    behind by that release opens cleanly: the pickle is deleted without
+    being loaded, everything else in the store is restored."""
+    spec = f"sqlite:{tmp_path / 'old.db'}"
+    cold = build_rope_testbed(storage=spec, use_subplan_cache=True)
+    for __ in range(3):
+        cold.query("?- actors(A).", use_cim=True)
+    cold.close()
+
+    canary = tmp_path / "unpickled"
+    backend = make_backend(spec)
+    assert list(backend.scan_prefix("subplan", ""))
+    for key, __ in list(backend.scan_prefix("plancache", "")):
+        backend.delete("plancache", key)
+    record = {
+        "version": 1,
+        "key": "all||pattern::?- actors(A).",
+        "fingerprint": cold._program_fingerprint(),
+        "entry": _RunsOnUnpickle(canary),
+    }
+    backend.put("plancache", "plan:000000", pickle.dumps(record))
+    backend.close()
+
+    warm = build_rope_testbed(storage=spec, warm_start=True, use_subplan_cache=True)
+    assert not canary.exists()
+    assert list(warm.storage.scan_prefix("plancache", "")) == []
+    assert warm.metrics.value("storage.warm_start.plans_adopted") == 0
+    assert len(warm.plan_cache) == 0
+    assert warm.metrics.value("storage.warm_start.cim_entries") > 0
+    assert warm.metrics.value("storage.warm_start.dcsm_observations") > 0
+    assert warm.metrics.value("storage.warm_start.subplans_adopted") >= 1
+    assert warm.query("?- actors(A).", use_cim=True).cardinality > 0
+    warm.close()
+
+
 def test_env_variable_selects_backend(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_STORAGE", "sqlite")
     monkeypatch.setenv("REPRO_STORAGE_PATH", str(tmp_path))
@@ -573,22 +617,24 @@ def _plan_entry(epoch: int, version: int, value_dependent: bool = False) -> Cach
     )
 
 
-def test_save_plan_cache_skips_lazily_invalidated_entries():
-    """Plan-cache invalidation is lazy: entries from an older epoch (or
-    DCSM version) sit in memory until looked up.  The snapshot must not
+def test_snapshot_save_skips_lazily_invalidated_entries():
+    """Tier invalidation is lazy: entries from an older epoch (or DCSM
+    version) sit in memory until looked up.  The snapshot must not
     persist them under the current fingerprint — that would resurrect a
     stale plan on warm restart."""
     backend = MemoryBackend()
     cache = PlanCache()
+    cache.bump_epoch()
+    cache.bump_epoch()
     cache.put("live", _plan_entry(2, 7))
     cache.put("stale-epoch", _plan_entry(1, 7))
     cache.put("stale-version", _plan_entry(2, 6))
     # markers carry no prices: epoch applies, the DCSM version does not
     cache.put("stale-marker", _plan_entry(1, 7, value_dependent=True))
     cache.put("live-marker", _plan_entry(2, 3, value_dependent=True))
-    written = save_plan_cache(cache, backend, "fp", epoch=2, dcsm_version=7)
+    written = snapshot.save(cache, backend, "fp", now_ms=0.0, dcsm_version=7)
     assert written == 2
-    records = load_plan_records(backend)
+    records = snapshot.stage(cache, backend)
     assert sorted(record.key for record in records) == ["live", "live-marker"]
     assert all(record.fingerprint == "fp" for record in records)
 
@@ -683,9 +729,9 @@ def test_restored_entries_expire_under_the_new_clock():
 
 
 def test_default_storage_root_is_private_and_user_owned(monkeypatch, tmp_path):
-    """Plan records are pickled, so the default storage location is a
-    trust boundary: never the shared temp dir itself, always a 0700
-    directory owned by the current user."""
+    """Whoever can write the stores chooses what a warm start serves, so
+    the default storage location is never the shared temp dir itself,
+    always a 0700 directory owned by the current user."""
     monkeypatch.delenv("REPRO_STORAGE_PATH", raising=False)
     monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
     root = Path(_default_storage_root())

@@ -421,6 +421,79 @@ def test_source_change_under_an_open_cursor_leaves_no_stale_rows():
     mediator.close()
 
 
+def build_chain(**options):
+    """``q(A, Out)`` over ``d:f -> d:g -> d:h``; ``d:f`` answers from
+    ``version[0]`` and every hook in ``during_g`` runs while ``d:g`` — the
+    middle of the plan — is being dialed."""
+    version, during_g = [0], []
+
+    def g(mid):
+        for hook in during_g:
+            hook()
+        return [f"{mid}-n"]
+
+    mediator = Mediator(record_statistics=False, **options)
+    mediator.register_domain(
+        simple_domain(
+            "d",
+            {
+                "f": lambda a: [f"{a}-m{version[0]}"],
+                "g": g,
+                "h": lambda n: [f"{n}-out"],
+            },
+        )
+    )
+    mediator.load_program(
+        "q(A, Out) :- in(M, d:f(A)) & in(N, d:g(M)) & in(Out, d:h(N))."
+    )
+    return mediator, version, during_g
+
+
+def test_source_change_delivered_mid_run_is_not_lost():
+    """``notify_source_changed`` arriving while a query is in flight: the
+    run read ``d:f`` before the change, so the prefixes it materialized
+    must not be stored as if they were current."""
+    mediator, version, during_g = build_chain(use_subplan_cache=True)
+
+    def source_changes():
+        version[0] = 1
+        mediator.notify_source_changed("d", "f")
+
+    during_g.append(source_changes)
+    assert mediator.query("?- q('a', Out).").answers == (("a-m0-n-out",),)
+    during_g.clear()
+
+    assert not [
+        key for key, entry in mediator.subplan_cache.items() if ("d", "f") in entry.sources
+    ]
+    assert mediator.subplan_cache.stats.invalidations["raced"] == 2  # both cuts
+    oracle, oracle_version, __ = build_chain(use_plan_cache=False)
+    oracle_version[0] = 1
+    expected = oracle.query("?- q('a', Out).").answers
+    assert mediator.query("?- q('a', Out).").answers == expected == (("a-m1-n-out",),)
+    # the clean repeat did populate the tier, and the next one replays it
+    assert mediator.subplan_cache.entry_count == 2
+    assert mediator.query("?- q('a', Out).").answers == expected
+    assert mediator.subplan_cache.stats.hits == 1
+    mediator.close()
+
+
+def test_program_change_delivered_mid_run_is_not_restamped():
+    """``add_rule`` arriving while a query is in flight: rows computed
+    under the old program are refused, not stored under the new epoch."""
+    mediator, __, during_g = build_chain(use_subplan_cache=True)
+    during_g.append(lambda: mediator.add_rule("other(X) :- in(X, d:h('z'))."))
+    assert mediator.query("?- q('a', Out).").answers == (("a-m0-n-out",),)
+    during_g.clear()
+    assert mediator.subplan_cache.entry_count == 0
+    assert mediator.subplan_cache.stats.invalidations["raced"] == 2
+    mediator.query("?- q('a', Out).")
+    assert {entry.epoch for __, entry in mediator.subplan_cache.items()} == {
+        mediator.subplan_cache.epoch
+    }
+    mediator.close()
+
+
 MATRIX_PROGRAM = """
 head(A, M) :- in(M0, d:s0(A)) & in(M, d:s1(M0)).
 shared(A, M) :- in(M0, d:s0(A)) & in(M1, d:s1(M0)) & in(M, e:u(M1)).
