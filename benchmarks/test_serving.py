@@ -54,11 +54,7 @@ def _build_mediator(cached: bool) -> Mediator:
         queries=4, prefix_depth=3, fanout=2, seed=11,
         prefix_sleep_s=PREFIX_SLEEP_S,
     )
-    mediator = Mediator(
-        record_statistics=False,
-        use_subplan_cache=cached,
-        use_plan_cache=cached,
-    )
+    mediator = Mediator(use_subplan_cache=cached, use_plan_cache=cached)
     mediator.register_domain(workload.domain)
     mediator.load_program(workload.program_text)
     mediator._bench_queries = workload.queries  # type: ignore[attr-defined]

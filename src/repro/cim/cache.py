@@ -36,6 +36,7 @@ from repro.storage.tier import (
     CacheStore,
     Entry,
     TierStats,
+    weak_hook,
 )
 
 if TYPE_CHECKING:
@@ -100,7 +101,7 @@ class ResultCache:
         # the backend too, or dead records accumulate across restarts)
         self._mirror = True
         self._tier: CacheStore[GroundCall, CacheEntry] = CacheStore(
-            max_entries, max_bytes, ttl_ms, score, self._on_drop
+            max_entries, max_bytes, ttl_ms, score, weak_hook(self._on_drop)
         )
         # one shared ``sources`` set per source function, not one per entry
         self._sources: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}

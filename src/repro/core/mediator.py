@@ -28,6 +28,7 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -105,6 +106,15 @@ def _default_storage_root() -> str:
     except OSError:
         root = tempfile.mkdtemp(prefix="repro-storage-")
     return root
+
+
+def _estimated_t_all(dcsm: DCSM, call: GroundCall) -> Optional[float]:
+    """DCSM-estimated T_all of re-running ``call`` (the cost-aware
+    evictor's notion of an entry's replacement value)."""
+    try:
+        return dcsm.cost(call).t_all_ms
+    except ReproError:
+        return None
 
 
 def _expand_storage_spec(spec: str) -> str:
@@ -221,7 +231,9 @@ class Mediator:
                 result_cache = ResultCache(
                     max_bytes=cache_max_bytes,
                     policy=POLICY_COST,
-                    evictor=CostFrequencyEvictor(self._estimate_recompute_cost),
+                    evictor=CostFrequencyEvictor(
+                        functools.partial(_estimated_t_all, self.dcsm)
+                    ),
                     backend=self.storage,
                     metrics=self.metrics,
                 )
@@ -256,6 +268,7 @@ class Mediator:
             subplan_max_bytes = cache_max_bytes
         from repro.storage.evictor import CostFrequencyEvictor
 
+        dcsm = self.dcsm  # the version callable must not hold the mediator
         self.subplan_cache = SubplanResultCache(
             max_entries=subplan_cache_entries,
             max_bytes=subplan_max_bytes,
@@ -264,7 +277,7 @@ class Mediator:
                 CostFrequencyEvictor() if subplan_max_bytes is not None else None
             ),
             metrics=self.metrics,
-            dcsm_version_fn=lambda: self.dcsm.version,
+            dcsm_version_fn=lambda: dcsm.version,
         )
         # single-flight over subplan keys, shared across queries: one
         # concurrent query's prefix materialization feeds another's
@@ -318,14 +331,6 @@ class Mediator:
             self._load_warm_start()
 
     # -- persistent storage (warm restart) -----------------------------------------
-
-    def _estimate_recompute_cost(self, call: GroundCall) -> Optional[float]:
-        """DCSM-estimated T_all of re-running ``call`` (the cost-aware
-        evictor's notion of an entry's replacement value)."""
-        try:
-            return self.dcsm.cost(call).t_all_ms
-        except ReproError:
-            return None
 
     def _load_warm_start(self) -> None:
         """Reload persisted cache state from the storage backend.

@@ -305,7 +305,10 @@ class Program:
             done.add(node)
             return False
 
-        return any(visit(node) for node in list(graph))
+        try:
+            return any(visit(node) for node in list(graph))
+        finally:
+            del visit  # visit reaches itself through its closure cell
 
     def __len__(self) -> int:
         return len(self._rules)

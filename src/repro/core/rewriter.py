@@ -543,17 +543,24 @@ class Rewriter:
                 finally:
                     del steps[placed_from:]
 
-            descend(
-                list(range(len(calls))),
-                frozenset(),
-                [],
-                bound_vars,
-                binders0,
-                filters0,
-                0.0,
-                0.0,
-                1.0,
-            )
+            try:
+                descend(
+                    list(range(len(calls))),
+                    frozenset(),
+                    [],
+                    bound_vars,
+                    binders0,
+                    filters0,
+                    0.0,
+                    0.0,
+                    1.0,
+                )
+            finally:
+                # descend reaches itself through its closure cell; emptying
+                # the cell breaks that cycle, so the closure (and the
+                # estimator, session and probe it holds) frees by
+                # reference counting, not at the next full collection
+                del descend
             if exhausted:
                 break
 
@@ -648,7 +655,10 @@ class Rewriter:
                     Expansion(simplified, rules_used, unified_away)
                 )
 
-        recurse(tuple(query.goals), {}, (), 0)
+        try:
+            recurse(tuple(query.goals), {}, (), 0)
+        finally:
+            del recurse  # a self-referencing closure: see search()
         return expansions
 
     # -- comparison placement (shared by enumeration and guided search) --------
@@ -749,7 +759,10 @@ class Rewriter:
                     rest, next_steps, after, list(binders), list(filters)
                 )
 
-        yield from recurse(calls, [], bound_vars, all_binders, all_filters)
+        try:
+            yield from recurse(calls, [], bound_vars, all_binders, all_filters)
+        finally:
+            del recurse  # a self-referencing closure: see search()
 
 
 def _without_avoided(

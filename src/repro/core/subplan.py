@@ -50,7 +50,14 @@ from repro.errors import StorageError
 from repro.serialization import decode_value, encode_value
 from repro.storage.backend import STORE_SUBPLAN
 from repro.storage.snapshot import decode_bookkeeping, encode_bookkeeping
-from repro.storage.tier import REASON_RACED, CacheStore, Entry, Ticket, TierStats
+from repro.storage.tier import (
+    REASON_RACED,
+    CacheStore,
+    Entry,
+    Ticket,
+    TierStats,
+    weak_hook,
+)
 
 if TYPE_CHECKING:
     from repro.storage.evictor import CostFrequencyEvictor
@@ -142,19 +149,24 @@ def canonicalize_prefix(
         raise StorageError(f"cannot canonicalize term {term!r}")
 
     parts: list[str] = []
-    for step in steps:
-        if isinstance(step, CallStep):
-            call = step.atom.call
-            sources.add((call.domain, call.function))
-            args = ",".join(canon(arg) for arg in call.args)
-            output = canon(step.atom.output)
-            via = "@cim" if step.via_cim else ""
-            parts.append(f"in({output},{call.domain}:{call.function}({args})){via}")
-        elif isinstance(step, CompareStep):
-            comparison: Comparison = step.comparison
-            parts.append(f"{comparison.op}({canon(comparison.left)},{canon(comparison.right)})")
-        else:  # pragma: no cover - plan steps are calls or comparisons
-            raise StorageError(f"cannot canonicalize plan step {step!r}")
+    try:
+        for step in steps:
+            if isinstance(step, CallStep):
+                call = step.atom.call
+                sources.add((call.domain, call.function))
+                args = ",".join(canon(arg) for arg in call.args)
+                output = canon(step.atom.output)
+                via = "@cim" if step.via_cim else ""
+                parts.append(f"in({output},{call.domain}:{call.function}({args})){via}")
+            elif isinstance(step, CompareStep):
+                comparison: Comparison = step.comparison
+                parts.append(
+                    f"{comparison.op}({canon(comparison.left)},{canon(comparison.right)})"
+                )
+            else:  # pragma: no cover - plan steps are calls or comparisons
+                raise StorageError(f"cannot canonicalize plan step {step!r}")
+    finally:
+        del canon  # canon reaches itself through its closure cell
     pattern = ";".join(parts)
     values = json.dumps(
         [encode_value(value) for value in constants],
@@ -241,7 +253,7 @@ class SubplanResultCache:
             score_parts = evictor.score_parts
             score = lambda e: score_parts(e.cost_ms, e.hits, e.answer_bytes)
         self._tier: CacheStore[str, SubplanEntry] = CacheStore(
-            max_entries, max_bytes, ttl_ms, score, self._on_drop
+            max_entries, max_bytes, ttl_ms, score, weak_hook(self._on_drop)
         )
 
     def _on_drop(self, key: str, entry: SubplanEntry, reason: Optional[str]) -> None:

@@ -53,6 +53,12 @@ class CostVectorDatabase:
         self._backend_keys: dict[tuple[str, str], list[str]] = {}
         self._seq: dict[tuple[str, str], int] = {}
         self._mirror = True
+        # per bucket: how many observations the cap dropped off the front,
+        # and the recorded() count right after the latest such trim — the
+        # two numbers behind recorded() and since(), kept off the
+        # untrimmed record path
+        self._trimmed: dict[tuple[str, str], int] = {}
+        self._trimmed_at: dict[tuple[str, str], int] = {}
         # concurrent runtime workers record into shared buckets
         self._lock = threading.Lock()
 
@@ -65,15 +71,41 @@ class CostVectorDatabase:
             bucket.append(observation)
             self.total_recorded += 1
             self._backend_append(key, observation)
-            limit = self.max_observations_per_function
-            if limit is not None and len(bucket) > limit:
-                trim = len(bucket) - limit
-                del bucket[:trim]  # keep the most recent
-                self._backend_trim(key, trim)
+            self._apply_cap(key, bucket)
+
+    def _apply_cap(self, key: tuple[str, str], bucket: list[Observation]) -> None:
+        limit = self.max_observations_per_function
+        if limit is not None and len(bucket) > limit:
+            trim = len(bucket) - limit
+            del bucket[:trim]  # keep the most recent
+            self._backend_trim(key, trim)
+            self._trimmed[key] = self._trimmed.get(key, 0) + trim
+            self._trimmed_at[key] = self._trimmed[key] + len(bucket)
 
     def observations(self, domain: str, function: str) -> tuple[Observation, ...]:
         with self._lock:
             return tuple(self._buckets.get((domain, function), ()))
+
+    def recorded(self, domain: str, function: str) -> int:
+        """How many observations of ``domain:function`` were ever recorded
+        — monotonic: trimming by the cap does not lower it."""
+        key = (domain, function)
+        with self._lock:
+            return self._trimmed.get(key, 0) + len(self._buckets.get(key, ()))
+
+    def since(
+        self, domain: str, function: str, mark: int
+    ) -> Optional[tuple[Observation, ...]]:
+        """The observations recorded after the first ``mark`` (a
+        :meth:`recorded` reading), oldest first — or ``None`` once the cap
+        has trimmed the bucket after ``mark``: state summarised up to
+        ``mark`` then holds observations the log no longer has."""
+        key = (domain, function)
+        with self._lock:
+            if self._trimmed_at.get(key, 0) > mark:
+                return None
+            bucket = self._buckets.get(key, [])
+            return tuple(bucket[mark - self._trimmed.get(key, 0) :])
 
     # -- storage backend (persistence) -------------------------------------
 
@@ -131,11 +163,7 @@ class CostVectorDatabase:
                     )
                     self.total_recorded += 1
                     count += 1
-                    limit = self.max_observations_per_function
-                    if limit is not None and len(bucket) > limit:
-                        trim = len(bucket) - limit
-                        del bucket[:trim]
-                        self._backend_trim(bucket_key, trim)
+                    self._apply_cap(bucket_key, bucket)
             finally:
                 self._mirror = True
         return count

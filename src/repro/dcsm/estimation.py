@@ -74,6 +74,10 @@ class CostEstimator:
     def tables_for(self, domain: str, function: str) -> tuple[SummaryTable, ...]:
         return tuple(self._tables.get((domain, function), ()))
 
+    def set_tables(self, domain: str, function: str, tables: list[SummaryTable]) -> None:
+        """Replace every table of ``domain:function``."""
+        self._tables[(domain, function)] = tables
+
     def clear_tables(self) -> None:
         self._tables.clear()
 

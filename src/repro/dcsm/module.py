@@ -1,5 +1,17 @@
-"""The DCSM façade (paper §6): record actual call costs, summarize them
-offline, and answer ``cost(pattern)`` queries for the rule cost estimator.
+"""The DCSM façade (paper §6): record actual call costs, summarize them,
+and answer ``cost(pattern)`` queries for the rule cost estimator.
+
+Summaries
+---------
+:meth:`DCSM.summarize` is the paper's offline step: every summary table
+rebuilt from the whole observation log.  Estimates do not wait for it.
+``record`` only appends to the log; the next estimate folds what was
+recorded since into the live tables' cells — exact, because a cell keeps
+sums and counts — and rebuilds a function only when it is new, when the
+log's cap trimmed what its tables summarise, or after a ``configure_*``
+change.  :attr:`DCSM.version`, which the plan and subplan caches stamp
+their entries with, moves only when a fold changed what a table answers:
+a new row, or a row whose mean vector moved beyond float noise.
 
 Modes
 -----
@@ -83,9 +95,15 @@ class DCSM:
         self._functions: dict[tuple[str, str], _FunctionInfo] = {}
         self._lossy_dims: dict[tuple[str, str], tuple[int, ...]] = {}
         self._multi_dims: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
+        # a full rebuild is pending (configuration changed, or a warm start)
         self._summaries_stale = True
-        # bumped by every summarize(): consumers holding estimates derived
-        # from the statistics cache (the mediator's plan cache) compare the
+        # functions recorded since the last fold, and per function the
+        # database's recorded() count its tables summarise
+        self._dirty: set[tuple[str, str]] = set()
+        self._folded: dict[tuple[str, str], int] = {}
+        # moves whenever an estimate may come out differently (see
+        # _refresh_locked): consumers holding estimates derived from the
+        # statistics cache (the plan and subplan caches) compare the
         # version they saw against the current one to detect staleness
         self.version = 0
         # predicate-level first-answer statistics (paper §8's proposed
@@ -93,8 +111,9 @@ class DCSM:
         self._predicate_t_first: dict[tuple[str, int], list[float]] = {}
         # re-entrant: summarize() may be entered from estimate() while a
         # concurrent runtime worker records; guards _functions, the
-        # staleness flag, probe masks, and the predicate T_first samples
-        # (the raw database carries its own lock)
+        # fold state and the summary tables (folds update cells in place,
+        # so every table read holds it too), probe masks, and the
+        # predicate T_first samples (the raw database carries its own lock)
         self._lock = threading.RLock()
 
     # -- recording -------------------------------------------------------------
@@ -123,7 +142,7 @@ class DCSM:
             info = self._functions.get(key)
             if info is None:
                 self._functions[key] = _FunctionInfo(arity=result.call.arity)
-            self._summaries_stale = True
+            self._dirty.add(key)
         return observation
 
     # -- storage backend (persistence) ------------------------------------------
@@ -235,46 +254,91 @@ class DCSM:
         self._summaries_stale = True
 
     def summarize(self) -> None:
-        """(Re)build summary tables for the current mode."""
+        """Rebuild every summary table for the current mode from the whole
+        observation log, and move :attr:`version` — the paper's offline
+        summarization step.  Estimates never need it: they fold what was
+        recorded since into the live tables first (module docstring)."""
         with self._lock:
             self._summarize_locked()
 
     def _summarize_locked(self) -> None:
         self.version += 1
         self.estimator.clear_tables()
-        if self.mode == MODE_RAW:
-            self._summaries_stale = False
-            return
-        for (domain, function), info in list(self._functions.items()):
-            observations = self.database.observations(domain, function)
-            if self.mode == MODE_LOSSLESS:
-                dims_list: tuple[tuple[int, ...], ...] = (tuple(range(info.arity)),)
-            elif (domain, function) in self._multi_dims:
-                dims_list = self._multi_dims[(domain, function)]
-            else:
-                dims_list = (self._lossy_dims.get((domain, function), ()),)
-            finest = max(dims_list, key=len) if dims_list else ()
-            base = SummaryTable.summarize(
-                observations, domain, function, info.arity, finest
-            )
-            seen_dims: set[tuple[int, ...]] = set()
-            for dims in dims_list:
-                if dims in seen_dims:
-                    continue
-                seen_dims.add(dims)
-                if dims == base.dims:
-                    self.estimator.add_table(base)
-                elif set(dims) <= set(base.dims):
-                    self.estimator.add_table(base.coarsen(dims))
-                else:
-                    self.estimator.add_table(
-                        SummaryTable.summarize(
-                            observations, domain, function, info.arity, dims
-                        )
-                    )
-            if () not in seen_dims:  # always provide the global fall-through
-                self.estimator.add_table(base.coarsen(()))
+        self._folded.clear()
+        self._dirty.clear()
         self._summaries_stale = False
+        if self.mode == MODE_RAW:
+            return
+        for key in list(self._functions):
+            self._build_locked(key)
+
+    def _build_locked(self, key: tuple[str, str]) -> None:
+        """Summarise one function's whole log into fresh tables."""
+        domain, function = key
+        arity = self._functions[key].arity
+        while True:  # the log and the recorded() count it ends at, consistently
+            mark = self.database.recorded(domain, function)
+            observations = self.database.observations(domain, function)
+            if self.database.recorded(domain, function) == mark:
+                break
+        if self.mode == MODE_LOSSLESS:
+            dims_list: tuple[tuple[int, ...], ...] = (tuple(range(arity)),)
+        elif key in self._multi_dims:
+            dims_list = self._multi_dims[key]
+        else:
+            dims_list = (self._lossy_dims.get(key, ()),)
+        finest = max(dims_list, key=len) if dims_list else ()
+        base = SummaryTable.summarize(observations, domain, function, arity, finest)
+        tables: list[SummaryTable] = []
+        seen_dims: set[tuple[int, ...]] = set()
+        for dims in dims_list:
+            if dims in seen_dims:
+                continue
+            seen_dims.add(dims)
+            if dims == base.dims:
+                tables.append(base)
+            elif set(dims) <= set(base.dims):
+                tables.append(base.coarsen(dims))
+            else:
+                tables.append(
+                    SummaryTable.summarize(observations, domain, function, arity, dims)
+                )
+        if () not in seen_dims:  # always provide the global fall-through
+            tables.append(base.coarsen(()))
+        self.estimator.set_tables(domain, function, tables)
+        self._folded[key] = mark
+
+    def _refresh_locked(self) -> None:
+        """Bring the tables up to the log before they are read: the
+        pending full rebuild if there is one, else fold each dirty
+        function's new observations into every one of its tables, or
+        rebuild it when it is new or the cap trimmed what its tables
+        summarise.  :attr:`version` moves when an answer may have: a
+        rebuild, or a fold that added a row or moved a row's mean.  RAW
+        mode and recency weighting read the log itself, so there any new
+        observation moves it."""
+        if self._summaries_stale:
+            self._summarize_locked()
+            return
+        if not self._dirty:
+            return
+        dirty, self._dirty = self._dirty, set()
+        moved = self.mode == MODE_RAW or self.estimator.decay_tau_ms is not None
+        if self.mode != MODE_RAW:
+            for key in dirty:
+                mark = self._folded.get(key)
+                new = None if mark is None else self.database.since(*key, mark)
+                if new is None:
+                    self._build_locked(key)
+                    moved = True
+                    continue
+                tables = self.estimator.tables_for(*key)
+                for observation in new:
+                    for table in tables:
+                        moved |= table.fold(observation)
+                self._folded[key] = mark + len(new)
+        if moved:
+            self.version += 1
 
     # -- estimation --------------------------------------------------------------
 
@@ -316,18 +380,17 @@ class DCSM:
                     source="external",
                 )
 
-        with self._lock:
-            if self._summaries_stale:
-                self._summarize_locked()
         try:
-            if self.estimator.decay_tau_ms is not None:
-                # recency weighting needs per-observation timestamps, which
-                # summary cells deliberately aggregate away — estimate from
-                # the raw log (the paper treats recency-biased summaries as
-                # future work, §6.2.2)
-                estimate = self._estimate_decayed(pattern)
-            else:
-                estimate = self.estimator.estimate(pattern, now_ms=self._now)
+            with self._lock:
+                self._refresh_locked()
+                if self.estimator.decay_tau_ms is not None:
+                    # recency weighting needs per-observation timestamps,
+                    # which summary cells deliberately aggregate away —
+                    # estimate from the raw log (the paper treats
+                    # recency-biased summaries as future work, §6.2.2)
+                    estimate = self._estimate_decayed(pattern)
+                else:
+                    estimate = self.estimator.estimate(pattern, now_ms=self._now)
         except EstimationError:
             if external_vector is not None and not external_vector.is_empty():
                 return Estimate(external_vector, pattern, 0, 0, 0, "external")
@@ -392,13 +455,13 @@ class DCSM:
         tables otherwise)."""
         if self.mode == MODE_RAW:
             return self.database.size_cells()
-        if self._summaries_stale:
-            self.summarize()
-        return sum(
-            table.size_cells()
-            for tables in self.estimator._tables.values()
-            for table in tables
-        )
+        with self._lock:
+            self._refresh_locked()
+            return sum(
+                table.size_cells()
+                for tables in self.estimator._tables.values()
+                for table in tables
+            )
 
     def observation_count(self) -> int:
         return len(self.database)
@@ -406,19 +469,19 @@ class DCSM:
     def describe(self) -> str:
         """Human-readable snapshot of the statistics cache: per-function
         observation counts and the summary tables currently maintained."""
-        if self._summaries_stale:
-            self.summarize()
-        lines = [
-            f"DCSM mode={self.mode}, {len(self.database)} observations, "
-            f"{self.size_cells()} cells"
-        ]
-        for domain, function in self.database.functions():
-            count = len(self.database.observations(domain, function))
-            tables = self.estimator.tables_for(domain, function)
-            rendered = (
-                ", ".join(str(table) for table in tables) or "(no tables)"
-            )
-            lines.append(f"  {domain}:{function}: {count} obs; {rendered}")
+        with self._lock:
+            self._refresh_locked()
+            lines = [
+                f"DCSM mode={self.mode}, {len(self.database)} observations, "
+                f"{self.size_cells()} cells"
+            ]
+            for domain, function in self.database.functions():
+                count = len(self.database.observations(domain, function))
+                tables = self.estimator.tables_for(domain, function)
+                rendered = (
+                    ", ".join(str(table) for table in tables) or "(no tables)"
+                )
+                lines.append(f"  {domain}:{function}: {count} obs; {rendered}")
         if self.external_estimators:
             lines.append(
                 "  external estimators: "

@@ -59,6 +59,25 @@ class AggCell:
         self.count += 1
         self.last_record_ms = max(self.last_record_ms, observation.record_time_ms)
 
+    def moved_by(self, observation: Observation) -> bool:
+        """Would :meth:`add` move this cell's mean vector?  A component
+        moves unless the new value equals its current mean, i.e. unless
+        ``x·n == Σ`` up to float noise; a component's first value always
+        moves it."""
+        vec = observation.vector
+        if vec.t_first_ms is not None and _moves(
+            self.sum_t_first, self.n_t_first, vec.t_first_ms
+        ):
+            return True
+        if not observation.complete:
+            return False  # add() leaves T_all and Card alone
+        return (
+            vec.t_all_ms is not None and _moves(self.sum_t_all, self.n_t_all, vec.t_all_ms)
+        ) or (
+            vec.cardinality is not None
+            and _moves(self.sum_card, self.n_card, vec.cardinality)
+        )
+
     def merge(self, other: "AggCell") -> None:
         self.sum_t_first += other.sum_t_first
         self.n_t_first += other.n_t_first
@@ -83,6 +102,10 @@ class AggCell:
             self.sum_card, self.n_card,
             self.count, self.last_record_ms,
         )
+
+
+def _moves(total: float, count: int, value: float) -> bool:
+    return count == 0 or abs(value * count - total) > 1e-9 * max(abs(total), 1.0)
 
 
 @dataclass
@@ -115,6 +138,20 @@ class SummaryTable:
             cell = AggCell()
             self.rows[key] = cell
         cell.add(observation)
+
+    def fold(self, observation: Observation) -> bool:
+        """:meth:`add` one more observation; True when that moved what
+        the table answers — a new row, or a row whose mean vector moved
+        (:meth:`AggCell.moved_by`)."""
+        key = tuple(observation.call.args[i] for i in self.dims)
+        cell = self.rows.get(key)
+        if cell is None:
+            cell = self.rows[key] = AggCell()
+            moved = True
+        else:
+            moved = cell.moved_by(observation)
+        cell.add(observation)
+        return moved
 
     def answers(self, pattern: CallPattern) -> bool:
         """Can this table answer ``pattern`` by direct lookup?  Yes exactly

@@ -20,6 +20,7 @@ around the primitives :meth:`CacheStore.find` and :meth:`CacheStore.touch`.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterable, Optional, TypeVar
@@ -102,6 +103,24 @@ class TierStats:
 K = TypeVar("K", bound=Hashable)
 E = TypeVar("E", bound=Entry)
 
+#: ``on_drop(key, entry, reason)``
+DropHook = Callable[[K, E, Optional[str]], None]
+
+
+def weak_hook(handler: DropHook[K, E]) -> DropHook[K, E]:
+    """A tier's bound drop ``handler`` as an ``on_drop`` hook that does
+    not keep the tier alive.  The tier holds its store; a store holding
+    the tier back, as a bound method does, would make the two a
+    reference cycle that only the cycle collector frees."""
+    ref = weakref.WeakMethod(handler)
+
+    def on_drop(key: K, entry: E, reason: Optional[str]) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(key, entry, reason)
+
+    return on_drop
+
 
 class CacheStore(Generic[K, E]):
     """A thread-safe bounded map with reasoned drops.
@@ -110,7 +129,8 @@ class CacheStore(Generic[K, E]):
     evicts the lowest-scoring entry (ties: oldest).  ``on_drop(key,
     entry, reason)`` runs under the lock for every entry that leaves
     other than by replacement or :meth:`clear`; ``reason`` is ``None``
-    for a manual :meth:`discard`.
+    for a manual :meth:`discard`.  A tier passes its own handler through
+    :func:`weak_hook`.
     """
 
     def __init__(
@@ -119,7 +139,7 @@ class CacheStore(Generic[K, E]):
         max_bytes: Optional[int] = None,
         ttl_ms: Optional[float] = None,
         score: Optional[Callable[[E], float]] = None,
-        on_drop: Optional[Callable[[K, E, Optional[str]], None]] = None,
+        on_drop: Optional[DropHook[K, E]] = None,
     ) -> None:
         self.max_entries = max_entries
         self.max_bytes = max_bytes

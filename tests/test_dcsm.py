@@ -1,7 +1,15 @@
 """DCSM tests: vectors, patterns, database, summarization, estimation,
-and the module façade — including the paper's §6.1/§6.3 worked examples."""
+and the module façade — including the paper's §6.1/§6.3 worked examples,
+the estimate-time fold checked against a full rebuild, and a thread
+hammer (CI oversubscribes it with ``REPRO_STRESS_JOBS=16``)."""
+
+import os
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import GroundCall
 from repro.core.parser import parse_program
@@ -390,3 +398,223 @@ class TestModuleFacade:
     def test_bad_mode_rejected(self):
         with pytest.raises(EstimationError):
             DCSM(mode="psychic")
+
+
+# -- estimate-time folding ------------------------------------------------------
+
+STRESS_THREADS = int(os.environ.get("REPRO_STRESS_JOBS", "0")) or 4
+
+#: the source functions of the folding tests: d:f/2 and d:g/1
+ARITY = {"f": 2, "g": 1}
+
+
+def call_result(function, args, t_first, extra, answers=1, complete=True):
+    """A recorded call; ``answers=0`` leaves the observation without T_first."""
+    return CallResult(
+        call=GroundCall("d", function, tuple(args)),
+        answers=tuple(range(answers)),
+        t_first_ms=t_first,
+        t_all_ms=t_first + extra,
+        complete=complete,
+    )
+
+
+def configured(config, cap=None) -> DCSM:
+    if config == "lossless":
+        return DCSM(mode=MODE_LOSSLESS, max_observations_per_function=cap)
+    dcsm = DCSM(mode=MODE_LOSSY, max_observations_per_function=cap)
+    if config == "lossy":
+        dcsm.configure_lossy("d", "f", (0,))
+    else:
+        dcsm.configure_tables("d", "f", [(0, 1), (1,), ()])
+    return dcsm
+
+
+def assert_tables_match_log(dcsm):
+    """Every live table equals ``SummaryTable.summarize`` over the current
+    log, cell for cell (sums up to float rounding: a rebuild derives
+    coarse tables by merging cells, a fold adds observations in order)."""
+    for function in ARITY:
+        log = dcsm.database.observations("d", function)
+        for table in dcsm.estimator.tables_for("d", function):
+            rebuilt = SummaryTable.summarize(log, "d", function, table.arity, table.dims)
+            assert table.rows.keys() == rebuilt.rows.keys()
+            for key, expected in rebuilt.rows.items():
+                cell = table.rows[key]
+                assert (cell.n_t_first, cell.n_t_all, cell.n_card, cell.count) == (
+                    expected.n_t_first, expected.n_t_all, expected.n_card, expected.count
+                )
+                assert (cell.sum_t_first, cell.sum_t_all, cell.sum_card) == pytest.approx(
+                    (expected.sum_t_first, expected.sum_t_all, expected.sum_card)
+                )
+                assert cell.last_record_ms == expected.last_record_ms
+
+
+def cost_or_none(dcsm, pattern):
+    try:
+        vector = dcsm.cost(pattern)
+    except EstimationError:
+        return None
+    return (vector.t_first_ms, vector.t_all_ms, vector.cardinality)
+
+
+def same_cost(left, right) -> bool:
+    if left is None or right is None:
+        return left is right
+    return all(
+        a is b if a is None or b is None else a == pytest.approx(b)
+        for a, b in zip(left, right)
+    )
+
+
+_record_step = st.tuples(
+    st.just("record"),
+    st.sampled_from(sorted(ARITY)),
+    st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 2)),
+    st.floats(0.0, 50.0),  # T_first
+    st.floats(0.0, 50.0),  # T_all - T_first
+    st.integers(0, 3),  # answers; 0 means no T_first
+    st.booleans(),  # complete
+)
+_estimate_step = st.tuples(
+    st.just("estimate"),
+    st.sampled_from(sorted(ARITY)),
+    st.tuples(st.sampled_from(["a", "b", BOUND]), st.sampled_from([0, 1, BOUND])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.sampled_from(["lossless", "lossy", "tables"]),
+    cap=st.none() | st.integers(1, 5),
+    steps=st.lists(st.one_of(_record_step, _estimate_step), max_size=40),
+)
+def test_fold_matches_rebuild(config, cap, steps):
+    """Folding at estimate time keeps every table equal to a rebuild over
+    the log — under a trimming cap too — and every estimate equal to a
+    freshly built DCSM's."""
+    dcsm = configured(config, cap)
+    recorded = []
+    for step in steps:
+        function = step[1]
+        args = step[2][: ARITY[function]]
+        if step[0] == "record":
+            result = call_result(function, args, *step[3:])
+            dcsm.record(result)
+            recorded.append(result)
+            continue
+        pattern = CallPattern("d", function, args)
+        got = cost_or_none(dcsm, pattern)
+        assert_tables_match_log(dcsm)
+        fresh = configured(config, cap)
+        for result in recorded:
+            fresh.record(result)
+        assert same_cost(got, cost_or_none(fresh, pattern))
+
+
+class TestVersionRule:
+    PATTERN = CallPattern("d", "f", ("a", 1))
+
+    def trained(self, mode=MODE_LOSSLESS) -> DCSM:
+        dcsm = DCSM(mode=mode)
+        dcsm.record(call_result("f", ("a", 1), 1.0, 1.0, answers=2))
+        dcsm.cost(self.PATTERN)
+        return dcsm
+
+    def moves(self, dcsm, result) -> bool:
+        version = dcsm.version
+        dcsm.record(result)
+        dcsm.cost(self.PATTERN)
+        return dcsm.version != version
+
+    def test_observation_at_the_mean_keeps_version(self):
+        dcsm = self.trained()
+        assert not self.moves(dcsm, call_result("f", ("a", 1), 1.0, 1.0, answers=2))
+
+    def test_new_argument_tuple_moves_version(self):
+        dcsm = self.trained()
+        assert self.moves(dcsm, call_result("f", ("b", 1), 1.0, 1.0, answers=2))
+
+    def test_moved_mean_moves_version(self):
+        dcsm = self.trained()
+        assert self.moves(dcsm, call_result("f", ("a", 1), 1.0, 5.0, answers=2))
+
+    def test_incomplete_call_t_all_does_not_move_version(self):
+        dcsm = self.trained()
+        incomplete = call_result("f", ("a", 1), 1.0, 50.0, answers=7, complete=False)
+        assert not self.moves(dcsm, incomplete)
+        assert dcsm.cost(self.PATTERN).t_all_ms == pytest.approx(2.0)
+
+    def test_raw_mode_moves_on_any_observation(self):
+        dcsm = self.trained(MODE_RAW)
+        assert self.moves(dcsm, call_result("f", ("a", 1), 1.0, 1.0, answers=2))
+
+    def test_summarize_always_moves_version(self):
+        dcsm = self.trained()
+        version = dcsm.version
+        dcsm.summarize()
+        assert dcsm.version == version + 1
+
+
+def test_recorded_and_since_across_a_trim():
+    db = CostVectorDatabase(max_observations_per_function=3)
+    for observation in T16[:3]:
+        db.record(observation)
+    assert db.recorded("d1", "p_bf") == 3
+    assert db.since("d1", "p_bf", 1) == tuple(T16[1:3])
+    db.record(T16[3])  # trims T16[0]
+    assert db.recorded("d1", "p_bf") == 4
+    assert db.since("d1", "p_bf", 3) is None  # the cap trimmed after mark 3
+    assert db.since("d1", "p_bf", 4) == ()
+
+
+def test_hammer_records_against_aggregating_estimates():
+    """Recorders race estimators whose pattern no table answers directly
+    (a constant at position 0 only), so every estimate walks the lossless
+    table's rows while folds update them."""
+    dcsm = DCSM()
+    dcsm.record(call_result("f", ("k0", 0), 1.0, 1.0))
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def record(index: int) -> None:
+        try:
+            for n in range(300):
+                # mostly new rows, so folds keep inserting while estimates scan
+                args = (f"k{n % 7}", index * 1000 + n % 250)
+                dcsm.record(call_result("f", args, float(n % 3), 1.0, n % 4))
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def estimate() -> None:
+        try:
+            while not done.is_set():
+                dcsm.estimate(CallPattern("d", "f", ("k1", BOUND)))
+                dcsm.size_cells()
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    recorders = [
+        threading.Thread(target=record, args=(i,))
+        for i in range(max(1, STRESS_THREADS // 2))
+    ]
+    estimators = [
+        threading.Thread(target=estimate) for _ in range(max(1, STRESS_THREADS // 2))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in recorders + estimators:
+            thread.start()
+        for thread in recorders:
+            thread.join(timeout=60.0)
+        done.set()
+        for thread in estimators:
+            thread.join(timeout=60.0)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in recorders + estimators)
+    assert errors == []
+    dcsm.estimate(CallPattern("d", "f", ("k1", BOUND)))
+    assert_tables_match_log(dcsm)

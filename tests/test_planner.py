@@ -252,8 +252,8 @@ def test_value_dependent_queries_replan_per_constant():
     assert sorted(first.column("X")) == [1, 2]
     other = mediator.query("?- r(b, X).")
     assert sorted(other.column("X")) == [7]  # must NOT reuse the 'a' plan
-    # the 'b' search re-summarized the DCSM (new observations), so the
-    # stale 'a' entry is correctly evicted; replanning restores it...
+    # whether or not the 'b' search's new observations moved the DCSM
+    # version (and so dropped the 'a' entry), 'a' gets its own plan...
     replan = mediator.query("?- r(a, X).")
     assert sorted(replan.column("X")) == [1, 2]
     hits_before = mediator.plan_cache.hits

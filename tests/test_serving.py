@@ -829,38 +829,39 @@ def test_server_partial_results_respect_tenant_policy():
         server.drain(timeout=10.0)
 
 
-def test_server_duplicate_inflight_id_refused(m1_mediator):
+def test_server_duplicate_inflight_id_refused():
     import socket as socket_mod
 
-    server = MediatorServer(
-        m1_mediator, config=ServingConfig(workers=1)
-    ).start()
+    from repro.core.mediator import Mediator
+    from repro.domains.base import simple_domain
+
+    # the first query's source blocks until the refusal has arrived, so
+    # the first query is still in flight when its twin is read
+    release = threading.Event()
+
+    def gated():
+        release.wait(timeout=10.0)
+        return ["done"]
+
+    mediator = Mediator()
+    mediator.register_domain(simple_domain("g", {"gated": gated}))
+    mediator.load_program("s(X) :- in(X, g:gated()).")
+    server = MediatorServer(mediator, config=ServingConfig(workers=1)).start()
     try:
         host, port = server.address
         with socket_mod.create_connection((host, port), timeout=10.0) as sock:
-            for _ in range(2):
-                sock.sendall(
-                    encode_message(
-                        {"op": "query", "id": "dup", "query": "?- m(A, C)."}
-                    )
-                )
+            frame = encode_message({"op": "query", "id": "dup", "query": "?- s(X)."})
+            sock.sendall(frame + frame)
             sock.settimeout(10.0)
-            data = b""
-            while data.count(b"\n") < 2:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        responses = [
-            decode_message(line)
-            for line in data.split(b"\n")
-            if line.strip()
-        ]
-        statuses = sorted(r["status"] for r in responses)
-        assert statuses == ["error", "ok"]
-        error = next(r for r in responses if r["status"] == "error")
-        assert "already in flight" in error["error"]
+            replies = sock.makefile("rb")
+            refused = decode_message(replies.readline())
+            release.set()
+            answered = decode_message(replies.readline())
+        assert refused["status"] == "error"
+        assert "already in flight" in refused["error"]
+        assert answered["status"] == "ok"
     finally:
+        release.set()
         server.drain(timeout=10.0)
 
 

@@ -3,9 +3,9 @@ byte-budget eviction, warm restart over every storage backend, and
 property-based answer parity against the cache-off engine.
 
 Most tests construct the mediator with ``record_statistics=False``:
-with live statistics every search can re-summarize the DCSM, and the
-version stamp then (conservatively, by design) invalidates the subplan
-tier between queries — see docs/CACHING.md.
+with live statistics a query that dials new argument tuples moves the
+one global DCSM version, and the version stamp then invalidates the
+subplan tier between queries — see docs/CACHING.md.
 """
 
 import functools
