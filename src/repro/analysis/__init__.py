@@ -1,7 +1,7 @@
 """Static analysis of mediator programs, invariants, and plans.
 
 The diagnostics engine behind ``repro lint``, ``Mediator.analyze()``, and
-the compatibility shim in :mod:`repro.core.validation`:
+the shell's ``:validate``:
 
 * :mod:`repro.analysis.diagnostics` — :class:`Diagnostic` records with
   stable ``MEDxxx`` codes, :class:`AnalysisReport`, text/JSON renderers;

@@ -1,7 +1,7 @@
 """Adornment feasibility: which calls can *ever* be ground (paper §3, §5).
 
 The rewriter only emits orderings where every domain call is ground when
-reached.  ``core/validation.py`` used to approximate this with "assume
+reached.  The retired ``core/validation.py`` approximated this with "assume
 every head variable and every IDB body variable is bound" — generous
 enough to miss real failures (an IDB subgoal whose defining rules can
 never bind an argument still counted as binding it).

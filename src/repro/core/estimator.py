@@ -206,6 +206,18 @@ class RuleCostEstimator:
         )
         return PlanEstimate(plan=plan, vector=vector, steps=tuple(step_estimates))
 
+    def try_estimate(
+        self,
+        plan: Plan,
+        bound_vars: frozenset[Variable] = frozenset(),
+        session: Optional[EstimatorSession] = None,
+    ) -> Optional[PlanEstimate]:
+        """:meth:`estimate`, or ``None`` when the DCSM cannot price it."""
+        try:
+            return self.estimate(plan, bound_vars, session)
+        except EstimationError:
+            return None
+
     def choose(
         self,
         plans: "tuple[Plan, ...] | list[Plan]",
@@ -216,14 +228,11 @@ class RuleCostEstimator:
         (``"all"`` → T_all, ``"first"`` → T_first).
 
         Returns ``(winner_or_None, per_plan_estimates)`` where a plan that
-        could not be estimated contributes ``None``.
+        could not be estimated contributes ``None``.  This prices an
+        enumerated list (experiments, baselines, test oracles); the
+        mediator itself chooses through ``Rewriter.search``.
         """
-        estimates: list[Optional[PlanEstimate]] = []
-        for plan in plans:
-            try:
-                estimates.append(self.estimate(plan, bound_vars))
-            except EstimationError:
-                estimates.append(None)
+        estimates = [self.try_estimate(plan, bound_vars) for plan in plans]
         scored = [e for e in estimates if e is not None]
         if not scored:
             return None, tuple(estimates)

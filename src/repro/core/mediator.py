@@ -2,7 +2,7 @@
 
 Wires together every subsystem of the paper's Figure 1 architecture:
 
-* the **rule rewriter** (plan enumeration),
+* the **rule rewriter** (cost-guided plan search),
 * the **rule cost estimator** (plan pricing via DCSM),
 * the **DCSM** (statistics cache of actual call costs),
 * the **CIM** (result cache + invariants),
@@ -40,7 +40,7 @@ from repro.cancellation import CancellationToken
 from repro.cim.cache import POLICY_COST, ResultCache
 from repro.cim.manager import CacheInvariantManager, CimPolicy
 from repro.core.answers import QueryResult
-from repro.core.estimator import PlanEstimate, RuleCostEstimator
+from repro.core.estimator import EstimatorSession, PlanEstimate, RuleCostEstimator
 from repro.core.executor import (
     MODE_ALL,
     MODE_INTERACTIVE,
@@ -52,12 +52,14 @@ from repro.core.model import GroundCall, Invariant, Program, Query, Rule
 from repro.core.parser import parse_invariant, parse_program, parse_query
 from repro.core.plancache import CachedPlan, PlanCache, canonicalize, exact_key
 from repro.core.plans import Plan, PlanStep
-from repro.core.rewriter import Rewriter, RewriterConfig
+from repro.core.rewriter import Rewriter, RewriterConfig, SearchResult, SearchStats
 from repro.core.subplan import SubplanResultCache, canonicalize_prefix, replay_cost_ms
+from repro.core.terms import Constant, Variable
 from repro.dcsm.module import DCSM
+from repro.dcsm.vectors import CostVector
 from repro.domains.base import Domain
 from repro.domains.registry import DomainRegistry
-from repro.errors import EstimationError, PlanningError, ReproError
+from repro.errors import PlanningError, ReproError
 from repro.metrics import MetricsRegistry
 from repro.net.clock import SimClock
 from repro.net.faults import FaultInjector, FaultSpec
@@ -157,7 +159,6 @@ class Mediator:
         degrade_on_failure: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         verify_plans: bool = False,
-        guided_search: bool = True,
         use_plan_cache: bool = True,
         plan_cache_entries: int = 256,
         jobs: Optional[int] = None,
@@ -306,10 +307,8 @@ class Mediator:
         # concurrent sessions may race the first query; without the lock
         # two threads could each build a Rewriter and split its state
         self._rewriter_lock = threading.Lock()
-        # cost-guided branch-and-bound planning (Rewriter.search) instead
-        # of enumerate-then-price; the plan cache memoizes winning plans
-        # per constant-abstracted query shape
-        self.guided_search = guided_search
+        # the plan cache memoizes Rewriter.search's winning plans per
+        # constant-abstracted query shape
         self.use_plan_cache = use_plan_cache
         self.plan_cache = PlanCache(max_entries=plan_cache_entries)
         # the enabled tiers persisted per program (repro.storage.snapshot),
@@ -571,19 +570,6 @@ class Mediator:
         self.subplan_cache.invalidate_source(domain, function)
         return self.cim.notify_source_changed(domain, function)
 
-    def validate_program(self) -> list:
-        """Static pre-flight checks of the loaded rules against the
-        registered domains (unknown domains/functions, arity mismatches,
-        undefined predicates, unorderable bodies, recursion).  Returns a
-        list of :class:`repro.core.validation.Issue`.
-
-        :meth:`analyze` is the richer interface: stable diagnostic codes,
-        invariant lint, and per-query reachable-adornment analysis.
-        """
-        from repro.core.validation import validate_program
-
-        return validate_program(self.program, self.registry)
-
     def analyze(
         self,
         queries: Iterable["str | Query"] = (),
@@ -646,8 +632,6 @@ class Mediator:
     @staticmethod
     def _bindings_subst(bindings: Optional[dict]) -> dict:
         """{"Name": value} → {Variable("Name"): Constant(value)}."""
-        from repro.core.terms import Constant, Variable
-
         if not bindings:
             return {}
         return {
@@ -740,73 +724,43 @@ class Mediator:
 
         session = self.cost_estimator.session()
         bindings_subst = self._bindings_subst(bindings)
-        value_dependent = False
-        if canonical.params:
-            const_subst = dict(zip(canonical.params, canonical.constants))
-            result = self.rewriter.search(
-                canonical.abstract,
+
+        def search(
+            target: Query,
+            params: tuple[Variable, ...] = (),
+            const_subst: Optional[dict] = None,
+        ) -> SearchResult:
+            return self.rewriter.search(
+                target,
                 self.cost_estimator,
                 objective=objective,
-                bound_vars=user_bound | frozenset(canonical.params),
-                track_vars=frozenset(canonical.params),
+                bound_vars=user_bound | frozenset(params),
+                track_vars=frozenset(params),
                 session=session,
                 const_subst=const_subst,
                 subplan_probe=self._make_subplan_probe(
-                    {**bindings_subst, **const_subst}
+                    {**bindings_subst, **(const_subst or {})}
                 ),
             )
+
+        value_dependent = False
+        if canonical.params:
+            const_subst = dict(zip(canonical.params, canonical.constants))
+            result = search(canonical.abstract, canonical.params, const_subst)
             value_dependent = bool(result.unified_away)
-            if value_dependent:
-                # unfolding specialised on a parameter's value (a rule
-                # head carries a constant there): the abstract template
-                # is not reusable — plan the concrete query instead
-                result = self.rewriter.search(
-                    query,
-                    self.cost_estimator,
-                    objective=objective,
-                    bound_vars=user_bound,
-                    session=session,
-                    subplan_probe=self._make_subplan_probe(bindings_subst),
-                )
-                concrete = result.plan
-            else:
-                concrete = result.plan.substitute(const_subst)
-        else:
-            result = self.rewriter.search(
-                query,
-                self.cost_estimator,
-                objective=objective,
-                bound_vars=user_bound,
-                session=session,
-                subplan_probe=self._make_subplan_probe(bindings_subst),
-            )
+        if not canonical.params or value_dependent:
+            # unfolding specialised on a parameter's value (a rule head
+            # carries a constant there): the abstract template is not
+            # reusable — plan the concrete query instead
+            result = search(query)
             concrete = result.plan
+        else:
+            concrete = result.plan.substitute(const_subst)
 
-        self.metrics.inc("planner.searches")
-        self.metrics.inc("planner.states_expanded", result.stats.states_expanded)
-        self.metrics.inc("planner.states_pruned", result.stats.states_pruned)
-        self.metrics.inc("planner.estimator_lookups", session.lookups)
-        self.metrics.inc("planner.estimator_memo_hits", session.memo_hits)
-        self.metrics.inc("planner.tail_completions", result.stats.tail_completions)
-        if result.stats.rules_filtered:
-            self.metrics.inc("planner.rules_filtered", result.stats.rules_filtered)
-        if result.stats.literals_filtered:
-            self.metrics.inc(
-                "planner.literals_filtered", result.stats.literals_filtered
-            )
-
-        routed = self._route(concrete, use_cim)
-        estimate: Optional[PlanEstimate] = None
-        if result.priced:
-            assert result.vector is not None
-            try:
-                estimate = self.cost_estimator.estimate(
-                    routed, bound_vars=user_bound, session=session
-                )
-            except EstimationError:
-                estimate = PlanEstimate(
-                    plan=routed, vector=result.vector, steps=()
-                )
+        self._count_search(result.stats, session)
+        routed, estimate = self._finish(
+            concrete, result.vector, use_cim, user_bound, session
+        )
 
         if self.use_plan_cache:
             # unpriced plans are not cached: a hit would keep serving the
@@ -826,24 +780,76 @@ class Mediator:
                     ),
                 )
             if result.priced:
-                if value_dependent:
-                    key = prefix + exact_key(query)
-                    template, params = result.plan, ()
-                else:
-                    key = abstract_key
-                    template, params = result.plan, canonical.params
                 self.plan_cache.put(
-                    key,
+                    prefix + exact_key(query) if value_dependent else abstract_key,
                     CachedPlan(
-                        template=template,
+                        template=result.plan,
                         vector=result.vector,
-                        params=params,
-                        sources=template.sources(),
+                        params=() if value_dependent else canonical.params,
+                        sources=result.plan.sources(),
                         epoch=epoch,
                         dcsm_version=version,
                     ),
                 )
         return routed, estimate
+
+    def _count_search(self, stats: SearchStats, session: EstimatorSession) -> None:
+        self.metrics.inc("planner.searches")
+        self.metrics.inc("planner.states_expanded", stats.states_expanded)
+        self.metrics.inc("planner.states_pruned", stats.states_pruned)
+        self.metrics.inc("planner.estimator_lookups", session.lookups)
+        self.metrics.inc("planner.estimator_memo_hits", session.memo_hits)
+        self.metrics.inc("planner.tail_completions", stats.tail_completions)
+        if stats.rules_filtered:
+            self.metrics.inc("planner.rules_filtered", stats.rules_filtered)
+        if stats.literals_filtered:
+            self.metrics.inc("planner.literals_filtered", stats.literals_filtered)
+
+    def _finish(
+        self,
+        plan: Plan,
+        vector: Optional[CostVector],
+        use_cim: CimRouting,
+        user_bound: frozenset,
+        session: Optional[EstimatorSession] = None,
+    ) -> tuple[Plan, Optional[PlanEstimate]]:
+        """Route a plan and price it step by step.  With a search's
+        ``session`` the pricing reads its memo and an unpriced search
+        result stays unpriced; without one (``optimize=False``) the plan
+        is priced directly."""
+        routed = self._route(plan, use_cim)
+        if session is not None and vector is None:
+            return routed, None
+        estimate = self.cost_estimator.try_estimate(routed, user_bound, session)
+        if estimate is None and vector is not None:
+            estimate = PlanEstimate(plan=routed, vector=vector, steps=())
+        return routed, estimate
+
+    def choose_plan(
+        self,
+        query: "str | Query",
+        objective: str = "all",
+        use_cim: CimRouting = None,
+        bindings: Optional[dict] = None,
+        optimize: bool = True,
+    ) -> tuple[Plan, Optional[PlanEstimate]]:
+        """The plan :meth:`query` runs for ``query``, with its estimate.
+
+        The mediator's one plan chooser (``query``, ``cursor`` and
+        ``explain`` all ask it).  ``optimize=True`` consults the plan
+        cache and otherwise runs :meth:`Rewriter.search` for the cheapest
+        plan under ``objective`` (``"all"`` or ``"first"``); when nothing
+        can be priced yet, the search returns the first executable
+        ordering, unpriced.  ``optimize=False`` takes that first ordering
+        directly.
+        """
+        if isinstance(query, str):
+            query = parse_query(query)
+        if optimize:
+            return self._plan_guided(query, objective, use_cim, bindings)
+        bound_vars = frozenset(self._bindings_subst(bindings))
+        result = self.rewriter.search(query, None, bound_vars=bound_vars)
+        return self._finish(result.plan, None, use_cim, bound_vars)
 
     def plan_avoiding(
         self,
@@ -895,12 +901,14 @@ class Mediator:
     ) -> QueryResult:
         """Plan, optimize, and execute a query.
 
-        * ``optimize=True`` prices every candidate plan through the DCSM
-          and runs the cheapest (T_all for ``mode="all"``, T_first for
-          ``mode="interactive"``); plans the DCSM cannot price (no
-          statistics yet) lose ties to priced ones, and when *nothing* can
-          be priced the first plan runs (and its measured costs seed the
-          statistics cache for next time).
+        * ``optimize=True`` runs the cheapest plan the cost-guided search
+          finds (T_all for ``mode="all"``, T_first for
+          ``mode="interactive"``; see :meth:`choose_plan`).  Orderings the
+          DCSM cannot price (no statistics yet) are never chosen over
+          priced ones, and when *nothing* can be priced the first
+          executable ordering runs (and its measured costs seed the
+          statistics cache for next time).  ``optimize=False`` always
+          runs that first ordering.
         * ``plan=`` bypasses planning and runs exactly that plan (used by
           the experiments to execute a specific rewriting).
         * ``use_cim`` routes calls through the Cache and Invariant
@@ -908,7 +916,7 @@ class Mediator:
         * ``semantics`` — ``"access-paths"`` (the paper's model: multiple
           rules per predicate are equivalent ways to reach the *same*
           relation, so exactly one rewriting runs) or ``"union"`` (datalog
-          union: one best ordering per distinct rule-choice combination
+          union: the cheapest ordering of every rule-choice combination
           runs, answers concatenated; ``deduplicate=True`` removes
           duplicate answer tuples across branches).
         """
@@ -917,7 +925,7 @@ class Mediator:
         if semantics not in ("access-paths", "union"):
             raise PlanningError(f"unknown query semantics {semantics!r}")
         initial_subst = self._bindings_subst(bindings)
-        bound_vars = frozenset(initial_subst)
+        objective = "first" if mode == MODE_INTERACTIVE else "all"
         run_kwargs: dict[str, Any] = dict(
             mode=mode,
             max_answers=max_answers,
@@ -930,57 +938,23 @@ class Mediator:
         )
         if semantics == "union" and plan is None:
             return self._query_union(
-                query, use_cim, optimize, deduplicate, bindings, run_kwargs
+                query, objective, use_cim, optimize, deduplicate, run_kwargs
             )
-        candidates: tuple[Plan, ...]
         if plan is not None:
-            candidates = (plan,)
             chosen = plan
-            chosen_estimate: Optional[PlanEstimate] = None
-            estimates: tuple[Optional[PlanEstimate], ...] = (None,)
-            try:
-                chosen_estimate = self.cost_estimator.estimate(plan)
-                estimates = (chosen_estimate,)
-            except Exception:
-                pass
-        elif optimize and self.guided_search:
-            objective = "first" if mode == MODE_INTERACTIVE else "all"
-            chosen, chosen_estimate = self._plan_guided(
-                query, objective, use_cim, bindings
+            chosen_estimate = self.cost_estimator.try_estimate(
+                plan, frozenset(initial_subst)
             )
-            candidates = (chosen,)
-            estimates = (chosen_estimate,)
         else:
-            candidates = self.plans(query, use_cim, bindings=bindings)
-            if optimize and len(candidates) > 1:
-                objective = "first" if mode == MODE_INTERACTIVE else "all"
-                winner, estimates = self.cost_estimator.choose(
-                    candidates, objective=objective, bound_vars=bound_vars
-                )
-                if winner is not None:
-                    chosen = winner.plan
-                    chosen_estimate = winner
-                else:
-                    chosen = candidates[0]
-                    chosen_estimate = None
-            else:
-                chosen = candidates[0]
-                estimates = tuple(None for _ in candidates)
-                chosen_estimate = None
-                try:
-                    chosen_estimate = self.cost_estimator.estimate(chosen)
-                    estimates = (chosen_estimate,) + tuple(
-                        None for _ in candidates[1:]
-                    )
-                except Exception:
-                    pass
+            chosen, chosen_estimate = self.choose_plan(
+                query, objective, use_cim, bindings, optimize
+            )
 
         chosen_estimate = self._apply_predicate_first(query, chosen_estimate)
         execution = self.executor.run(chosen, **run_kwargs)
         if self.repair and execution.missing_sources:
             # self-healing: re-plan around the sources that just failed,
             # fall back to CIM/stale answers, or keep annotated partials
-            objective = "first" if mode == MODE_INTERACTIVE else "all"
             repairer = PlanRepairer(self, max_attempts=self.repair_max_attempts)
             chosen, execution, completeness = repairer.repair(
                 query,
@@ -1000,8 +974,8 @@ class Mediator:
             execution=execution,
             chosen=chosen,
             chosen_estimate=chosen_estimate,
-            candidate_plans=candidates,
-            estimates=estimates,
+            candidate_plans=(chosen,),
+            estimates=(chosen_estimate,),
             completeness=completeness,
         )
 
@@ -1021,19 +995,7 @@ class Mediator:
         if isinstance(query, str):
             query = parse_query(query)
         if plan is None:
-            if optimize and self.guided_search:
-                plan, __ = self._plan_guided(query, "first", use_cim, bindings)
-            else:
-                candidates = self.plans(query, use_cim, bindings=bindings)
-                if optimize and len(candidates) > 1:
-                    winner, __ = self.cost_estimator.choose(
-                        candidates,
-                        objective="first",
-                        bound_vars=frozenset(self._bindings_subst(bindings)),
-                    )
-                    plan = winner.plan if winner is not None else candidates[0]
-                else:
-                    plan = candidates[0]
+            plan, __ = self.choose_plan(query, "first", use_cim, bindings, optimize)
         return QueryCursor(
             self.executor,
             plan,
@@ -1095,8 +1057,6 @@ class Mediator:
             return estimate
         from dataclasses import replace
 
-        from repro.dcsm.vectors import CostVector
-
         corrected = CostVector(
             t_first_ms=historical,
             t_all_ms=estimate.vector.t_all_ms,
@@ -1107,37 +1067,36 @@ class Mediator:
     def _query_union(
         self,
         query: Query,
+        objective: str,
         use_cim: CimRouting,
         optimize: bool,
         deduplicate: bool,
-        bindings: Optional[dict],
         run_kwargs: dict[str, Any],
     ) -> QueryResult:
-        """Union semantics: run one best ordering per rule-choice branch
-        and merge the answers.  ``run_kwargs`` are the caller's execution
-        options; the answer, time and interactive limits span the union."""
-        objective = "first" if run_kwargs["mode"] == MODE_INTERACTIVE else "all"
-        bound_vars = frozenset(run_kwargs["initial_subst"])
-        candidates = self.plans(query, use_cim, bindings=bindings)
-        branches: dict[str, list[Plan]] = {}
-        for candidate in candidates:
-            branches.setdefault(candidate.origin, []).append(candidate)
-
-        chosen_plans: list[Plan] = []
-        chosen_estimates: list[Optional[PlanEstimate]] = []
-        for plans in branches.values():
-            if optimize and len(plans) > 1:
-                winner, __ = self.cost_estimator.choose(
-                    plans, objective=objective, bound_vars=bound_vars
-                )
-                chosen_plans.append(winner.plan if winner else plans[0])
-                chosen_estimates.append(winner)
-            else:
-                chosen_plans.append(plans[0])
-                try:
-                    chosen_estimates.append(self.cost_estimator.estimate(plans[0]))
-                except Exception:
-                    chosen_estimates.append(None)
+        """Union semantics: run one plan per rewriting (rule-choice
+        branch) — the search's cheapest under ``objective``, or with
+        ``optimize=False`` its first executable ordering — and merge the
+        answers.  ``run_kwargs`` are the caller's
+        execution options; the answer, time and interactive limits span
+        the union."""
+        initial_subst = run_kwargs["initial_subst"]
+        user_bound = frozenset(initial_subst)
+        session = self.cost_estimator.session() if optimize else None
+        results = self.rewriter.search_branches(
+            query,
+            self.cost_estimator if optimize else None,
+            objective=objective,
+            bound_vars=user_bound,
+            session=session,
+            subplan_probe=self._make_subplan_probe(initial_subst) if optimize else None,
+        )
+        if session is not None:
+            self._count_search(results[0].stats, session)
+        branches = [
+            self._finish(result.plan, result.vector, use_cim, user_bound, session)
+            for result in results
+        ]
+        chosen_plans = [plan for plan, __ in branches]
 
         max_answers = run_kwargs["max_answers"]
         max_time_ms = run_kwargs["max_time_ms"]
@@ -1195,9 +1154,9 @@ class Mediator:
             query=query,
             execution=union,
             chosen=chosen_plans[0],
-            chosen_estimate=chosen_estimates[0] if chosen_estimates else None,
-            candidate_plans=candidates,
-            estimates=tuple(chosen_estimates),
+            chosen_estimate=branches[0][1],
+            candidate_plans=tuple(chosen_plans),
+            estimates=tuple(estimate for __, estimate in branches),
             completeness=Completeness.of(union),
         )
 

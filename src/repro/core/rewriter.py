@@ -89,10 +89,6 @@ class RewriterConfig:
 # ---------------------------------------------------------------------------
 
 
-def substitute_term(term: Term, subst: Substitution) -> Term:
-    return resolve(term, subst)
-
-
 def substitute_literal(literal: Literal, subst: Substitution) -> Literal:
     if isinstance(literal, Predicate):
         return Predicate(
@@ -111,10 +107,6 @@ def substitute_literal(literal: Literal, subst: Substitution) -> Literal:
     return Comparison(
         literal.op, resolve(literal.left, subst), resolve(literal.right, subst)
     )
-
-
-def rename_literal(literal: Literal, renaming: Substitution) -> Literal:
-    return substitute_literal(literal, renaming)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +138,6 @@ class SearchStats:
     states_pruned_dominated: int = 0  # Selinger-style dominated-state hits
     estimator_lookups: int = 0  # DCSM cost() calls actually issued
     estimator_memo_hits: int = 0  # pattern lookups answered by the session memo
-    expansions: int = 0
-    complete_plans: int = 0  # complete orderings reached (post-pruning)
     tail_completions: int = 0  # independent tails completed in closed form
     rules_filtered: int = 0  # rules dropped by the static pre-rewrite
     literals_filtered: int = 0  # body literals dropped by the pre-rewrite
@@ -159,12 +149,12 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
-    """Outcome of :meth:`Rewriter.search`.
+    """Outcome of :meth:`Rewriter.search`, or one union branch of
+    :meth:`Rewriter.search_branches`.
 
     ``vector`` is ``None`` when no complete ordering could be priced (the
     DCSM had no statistics for some call on every ordering); ``plan`` is
-    then the first executable ordering, matching the enumerate-then-price
-    fallback of pricing nothing.
+    then the first executable ordering.
     """
 
     plan: Plan
@@ -178,7 +168,8 @@ class SearchResult:
 
 
 class Rewriter:
-    """Enumerates executable plans for queries over a mediator program."""
+    """Plans queries over a mediator program: :meth:`search` chooses,
+    :meth:`plans` lists."""
 
     def __init__(self, program: Program, config: Optional[RewriterConfig] = None):
         if program.is_recursive():
@@ -224,12 +215,7 @@ class Rewriter:
         reachable without those domains survive.  Raises
         :class:`PlanningError` when no executable ordering exists.
         """
-        expansions = self._expand(query)
-        expansions = _without_avoided(expansions, avoid_domains, query)
-        if not expansions:
-            raise PlanningError(
-                f"every rewriting of the query is unsatisfiable: {query}"
-            )
+        expansions = self._expansions(query, frozenset(), avoid_domains)
         plans: list[Plan] = []
         seen: set[tuple] = set()
         for expansion in expansions:
@@ -242,16 +228,13 @@ class Rewriter:
                 if len(plans) >= self.config.max_plans:
                     return tuple(plans)
         if not plans:
-            raise PlanningError(
-                f"no executable subgoal ordering exists for: {query} "
-                f"(a domain call's inputs can never all be bound)"
-            )
+            raise _no_ordering(query)
         return tuple(plans)
 
     def search(
         self,
         query: Query,
-        estimator: "RuleCostEstimator",
+        estimator: "Optional[RuleCostEstimator]",
         objective: str = "all",
         bound_vars: frozenset[Variable] = frozenset(),
         track_vars: frozenset[Variable] = frozenset(),
@@ -281,53 +264,124 @@ class Rewriter:
         Returns the cheapest priceable plan under ``objective`` (``"all"``
         → lexicographic ``(T_all, T_first)``, ``"first"`` → the reverse).
         When no complete ordering can be priced — the DCSM lacks
-        statistics for some call on every ordering — falls back to the
-        first executable ordering, unpriced, mirroring what
-        enumerate-then-price does when it prices nothing.  Raises
+        statistics for some call on every ordering, or ``estimator`` is
+        ``None`` (the mediator's ``optimize=False``) — falls back to the
+        first executable ordering, unpriced.  Raises
         :class:`PlanningError` when no executable ordering exists at all.
         """
-        expansions = self._expand(query, track_vars)
-        expansions = _without_avoided(expansions, avoid_domains, query)
-        if not expansions:
-            raise PlanningError(
-                f"every rewriting of the query is unsatisfiable: {query}"
+        expansions = self._expansions(query, track_vars, avoid_domains)
+        [result] = self._search(
+            query, estimator, objective, bound_vars, session, const_subst,
+            subplan_probe, [expansions],
+        )
+        return result
+
+    def search_branches(
+        self,
+        query: Query,
+        estimator: "Optional[RuleCostEstimator]",
+        objective: str = "all",
+        bound_vars: frozenset[Variable] = frozenset(),
+        session: "Optional[EstimatorSession]" = None,
+        subplan_probe: "Optional[SubplanProbe]" = None,
+    ) -> tuple[SearchResult, ...]:
+        """:meth:`search` with one incumbent per rewriting instead of one
+        for the query (union semantics): every rule-choice combination
+        yields its own cheapest ordering, however many orderings each
+        has.  A rewriting with no executable ordering yields no branch.
+        The state budget spans the union; branches past it fall back to
+        their first ordering.  Every result shares one ``stats``."""
+        expansions = self._expansions(query)
+        return tuple(
+            self._search(
+                query, estimator, objective, bound_vars, session, None,
+                subplan_probe, [[expansion] for expansion in expansions],
             )
-        sess = session if session is not None else estimator.session()
+        )
+
+    def _search(
+        self,
+        query: Query,
+        estimator: "Optional[RuleCostEstimator]",
+        objective: str,
+        bound_vars: frozenset[Variable],
+        session: "Optional[EstimatorSession]",
+        const_subst: Optional[Substitution],
+        subplan_probe: "Optional[SubplanProbe]",
+        groups: list[list[Expansion]],
+    ) -> list[SearchResult]:
+        """Branch-and-bound with one incumbent per group of expansions;
+        one result per group that has an executable ordering."""
         stats = SearchStats(
-            expansions=len(expansions),
             rules_filtered=self.rules_filtered,
             literals_filtered=self.literals_filtered,
         )
-        unified: frozenset[Variable] = frozenset()
-
+        sess = session
+        if sess is None and estimator is not None:
+            sess = estimator.session()
+        exhausted = False
+        results: list[SearchResult] = []
         best_plan: Optional[Plan] = None
         best_vector: Optional[CostVector] = None
         best_key: Optional[tuple[float, float]] = None
-        exhausted = False
 
         def make_key(t_all: float, t_first: float) -> tuple[float, float]:
             if objective == "first":
                 return (t_first, t_all)
             return (t_all, t_first)
 
-        for expansion in expansions:
-            unified |= expansion.unified_away
-            calls = [
-                lit for lit in expansion.literals if isinstance(lit, InAtom)
-            ]
+        def improve(
+            key: tuple[float, float],
+            steps: list[PlanStep],
+            origin: str,
+            t_first: float,
+            t_all: float,
+            card: float,
+        ) -> None:
+            nonlocal best_plan, best_vector, best_key
+            # strict <: ties keep the first-found plan, matching min()
+            # over enumeration order
+            if best_key is None or key < best_key:
+                best_plan = Plan(steps=tuple(steps), answer_vars=query.answer_vars, origin=origin)
+                best_vector = CostVector(t_first_ms=t_first, t_all_ms=t_all, cardinality=card)
+                best_key = key
+
+        def run(
+            expansion: Expansion,
+            estimator: "RuleCostEstimator",
+            sess: "EstimatorSession",
+        ) -> None:
+            """The descent over one expansion's orderings."""
+
+            def price(
+                atom: InAtom, bound: frozenset[Variable]
+            ) -> Optional[tuple[float, float, float]]:
+                """``(t_all, t_first, fanout)`` of calling ``atom`` with
+                ``bound`` variables, or ``None`` when it is unpriceable."""
+                pattern = estimator.pattern_for(CallStep(atom), bound, const_subst)
+                vector = sess.cost(pattern)
+                if vector is None:
+                    return None
+                step_t_all = vector.t_all_ms
+                fanout = vector.cardinality
+                assert step_t_all is not None and fanout is not None
+                if vector.t_first_ms is not None:
+                    step_t_first = vector.t_first_ms
+                else:
+                    step_t_first = step_t_all
+                if estimator.membership_cap and term_is_bound(atom.output, bound):
+                    fanout = min(fanout, 1.0)
+                return step_t_all, step_t_first, fanout
+
+            calls = [lit for lit in expansion.literals if isinstance(lit, InAtom)]
             binders0, filters0 = self._partition_comparisons(
-                [
-                    lit
-                    for lit in expansion.literals
-                    if isinstance(lit, Comparison)
-                ]
+                [lit for lit in expansion.literals if isinstance(lit, Comparison)]
             )
             origin = "; ".join(expansion.rules_used)
             # Selinger memo: (placed call set, bound vars) → Pareto frontier
             # of (t_all, t_first, card) triples that reached the state.
             frontier: dict[
-                tuple[frozenset[int], frozenset[Variable]],
-                list[tuple[float, float, float]],
+                tuple[frozenset[int], frozenset[Variable]], list[tuple[float, float, float]]
             ] = {}
 
             def descend(
@@ -340,14 +394,8 @@ class Rewriter:
                 t_first: float,
                 t_all: float,
                 card: float,
-                calls: list[InAtom] = calls,
-                origin: str = origin,
-                frontier: dict[
-                    tuple[frozenset[int], frozenset[Variable]],
-                    list[tuple[float, float, float]],
-                ] = frontier,
             ) -> None:
-                nonlocal best_plan, best_vector, best_key, exhausted
+                nonlocal exhausted
                 if exhausted:
                     return
                 stats.states_expanded += 1
@@ -411,21 +459,7 @@ class Rewriter:
                     if not remaining:
                         if binders or filters:
                             return  # a comparison never became evaluable
-                        stats.complete_plans += 1
-                        # strict <: ties keep the first-found plan,
-                        # matching min() over enumeration order
-                        if best_key is None or key < best_key:
-                            best_plan = Plan(
-                                steps=tuple(steps),
-                                answer_vars=query.answer_vars,
-                                origin=origin,
-                            )
-                            best_vector = CostVector(
-                                t_first_ms=t_first,
-                                t_all_ms=t_all,
-                                cardinality=card,
-                            )
-                            best_key = key
+                        improve(key, steps, origin, t_first, t_all, card)
                         return
                     # Rank-tail completion: once no comparisons are pending
                     # and the remaining calls are pairwise independent
@@ -453,31 +487,13 @@ class Rewriter:
                         if independent:
                             for index in remaining:
                                 atom = calls[index]
-                                pattern = estimator.pattern_for(
-                                    CallStep(atom), bound, const_subst
-                                )
-                                vector = sess.cost(pattern)
-                                if vector is None:
+                                priced = price(atom, bound)
+                                if priced is None:
                                     # every ordering of this subtree runs
                                     # the unpriceable call: nothing here
                                     # can be priced, prune the subtree
                                     return
-                                step_t_all = vector.t_all_ms
-                                assert step_t_all is not None
-                                step_t_first = (
-                                    vector.t_first_ms
-                                    if vector.t_first_ms is not None
-                                    else step_t_all
-                                )
-                                fanout = vector.cardinality
-                                assert fanout is not None
-                                if estimator.membership_cap and term_is_bound(
-                                    atom.output, bound
-                                ):
-                                    fanout = min(fanout, 1.0)
-                                tail.append(
-                                    (atom, step_t_all, step_t_first, fanout)
-                                )
+                                tail.append((atom, *priced))
                             tail.sort(key=lambda e: _rank_ratio(e[3], e[1]))
                             for atom, step_t_all, step_t_first, fanout in tail:
                                 steps.append(CallStep(atom))
@@ -485,49 +501,20 @@ class Rewriter:
                                 t_all += card * step_t_all
                                 card *= fanout
                             stats.tail_completions += 1
-                            stats.complete_plans += 1
-                            key = make_key(t_all, t_first)
-                            if best_key is None or key < best_key:
-                                best_plan = Plan(
-                                    steps=tuple(steps),
-                                    answer_vars=query.answer_vars,
-                                    origin=origin,
-                                )
-                                best_vector = CostVector(
-                                    t_first_ms=t_first,
-                                    t_all_ms=t_all,
-                                    cardinality=card,
-                                )
-                                best_key = key
+                            improve(make_key(t_all, t_first), steps, origin, t_first, t_all, card)
                             return
                     for i, index in enumerate(remaining):
                         atom = calls[index]
                         after = adorn_step(atom, bound)
                         if after is None:
                             continue
-                        call_step = CallStep(atom)
-                        pattern = estimator.pattern_for(
-                            call_step, bound, const_subst
-                        )
-                        vector = sess.cost(pattern)
-                        if vector is None:
+                        priced = price(atom, bound)
+                        if priced is None:
                             # unpriceable call: no ordering through it can
                             # be priced — skip the branch
                             continue
-                        step_t_all = vector.t_all_ms
-                        assert step_t_all is not None
-                        step_t_first = (
-                            vector.t_first_ms
-                            if vector.t_first_ms is not None
-                            else step_t_all
-                        )
-                        fanout = vector.cardinality
-                        assert fanout is not None
-                        if estimator.membership_cap and term_is_bound(
-                            atom.output, bound
-                        ):
-                            fanout = min(fanout, 1.0)
-                        steps.append(call_step)
+                        step_t_all, step_t_first, fanout = priced
+                        steps.append(CallStep(atom))
                         descend(
                             remaining[:i] + remaining[i + 1 :],
                             placed | {index},
@@ -561,22 +548,47 @@ class Rewriter:
                 # estimator, session and probe it holds) frees by
                 # reference counting, not at the next full collection
                 del descend
-            if exhausted:
-                break
 
-        stats.estimator_lookups = sess.lookups
-        stats.estimator_memo_hits = sess.memo_hits
-        if best_plan is not None:
-            return SearchResult(best_plan, best_vector, stats, unified)
-        # nothing priceable: first executable ordering, like the old
-        # enumerate-then-price path when the estimator prices no plan
-        for expansion in expansions:
-            for plan in self._orderings(expansion, query.answer_vars, bound_vars):
-                return SearchResult(plan, None, stats, unified)
-        raise PlanningError(
-            f"no executable subgoal ordering exists for: {query} "
-            f"(a domain call's inputs can never all be bound)"
+        for group in groups:
+            best_plan = best_vector = best_key = None
+            for expansion in group:
+                if estimator is None or sess is None or exhausted:
+                    break
+                run(expansion, estimator, sess)
+            plan = best_plan
+            if plan is None:  # nothing priceable: the first executable ordering
+                orderings = (
+                    ordering
+                    for expansion in group
+                    for ordering in self._orderings(
+                        expansion, query.answer_vars, bound_vars
+                    )
+                )
+                plan = next(orderings, None)
+            if plan is not None:
+                unified = frozenset().union(*(e.unified_away for e in group))
+                results.append(SearchResult(plan, best_vector, stats, unified))
+        if sess is not None:
+            stats.estimator_lookups = sess.lookups
+            stats.estimator_memo_hits = sess.memo_hits
+        if not results:
+            raise _no_ordering(query)
+        return results
+
+    def _expansions(
+        self,
+        query: Query,
+        track_vars: frozenset[Variable] = frozenset(),
+        avoid_domains: frozenset[str] = frozenset(),
+    ) -> list[Expansion]:
+        expansions = _without_avoided(
+            self._expand(query, track_vars), avoid_domains, query
         )
+        if not expansions:
+            raise PlanningError(
+                f"every rewriting of the query is unsatisfiable: {query}"
+            )
+        return expansions
 
     # -- unfolding --------------------------------------------------------------
 
@@ -615,7 +627,7 @@ class Rewriter:
                         )
                     for rule in rules:
                         renaming = rename_apart(rule.variables())
-                        head = rename_literal(rule.head, renaming)
+                        head = substitute_literal(rule.head, renaming)
                         assert isinstance(head, Predicate)
                         unified = unify_sequences(
                             head.args, resolved.args, subst
@@ -623,7 +635,7 @@ class Rewriter:
                         if unified is None:
                             continue
                         body = tuple(
-                            rename_literal(lit, renaming) for lit in rule.body
+                            substitute_literal(lit, renaming) for lit in rule.body
                         )
                         new_goals = goals[:index] + body + goals[index + 1 :]
                         recurse(
@@ -763,6 +775,13 @@ class Rewriter:
             yield from recurse(calls, [], bound_vars, all_binders, all_filters)
         finally:
             del recurse  # a self-referencing closure: see search()
+
+
+def _no_ordering(query: Query) -> PlanningError:
+    return PlanningError(
+        f"no executable subgoal ordering exists for: {query} "
+        f"(a domain call's inputs can never all be bound)"
+    )
 
 
 def _without_avoided(

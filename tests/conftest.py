@@ -110,3 +110,36 @@ def m1_mediator() -> Mediator:
         """
     )
     return mediator
+
+
+@pytest.fixture
+def wide_union_mediator():
+    """Factory: ``p(X)`` defined by two five-call rules, 120 orderings
+    each — more than ``RewriterConfig.max_plans`` (64), so enumeration
+    never reaches rule b.  Rule a answers 0 and rule b answers 10; every
+    call of rule a costs ``a_ms`` and every call of rule b ``b_ms``."""
+
+    def constant(value: int, cost: float):
+        return lambda: ([value], cost, cost)
+
+    def make(a_ms: float = 1.0, b_ms: float = 1.0) -> Mediator:
+        functions = {}
+        for rule, answer, cost in (("a", 0, a_ms), ("b", 10, b_ms)):
+            for index in range(5):
+                value = answer if index == 0 else 1
+                functions[f"{rule}{index}"] = constant(value, cost)
+        mediator = Mediator()
+        mediator.register_domain(simple_domain("d", functions))
+        mediator.load_program(
+            "\n".join(
+                f"p(X) :- in(X, d:{rule}0())"
+                + "".join(
+                    f" & in({rule.upper()}{i}, d:{rule}{i}())" for i in range(1, 5)
+                )
+                + "."
+                for rule in ("a", "b")
+            )
+        )
+        return mediator
+
+    return make

@@ -481,18 +481,6 @@ class TestAnalyzeProgram:
         assert metrics.value("analysis.code.MED102") >= 1.0
         assert metrics.value("analysis.errors") >= 1.0
 
-    def test_validate_program_shim_agrees_with_analyze(self):
-        """core.validation now fronts the analyzer: every error surfaces
-        as an Issue with the same message."""
-        mediator = Mediator()
-        mediator.register_domain(simple_domain("d", {"g": lambda: [1]}))
-        mediator.load_program("p(X) :- q(X).")
-        issues = mediator.validate_program()
-        report = mediator.analyze()
-        assert [i.message for i in issues if i.severity == SEVERITY_ERROR] == [
-            d.message for d in report.errors
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Binding flow (MED150) and relevance (MED151-155)

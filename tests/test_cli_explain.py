@@ -18,6 +18,19 @@ def output_of(shell: MediatorShell) -> str:
     return shell.stdout.getvalue()
 
 
+def _identity(plan) -> tuple[str, str]:
+    """A plan as explain renders its rules and adornments lines."""
+    return plan.origin, ", ".join(plan.adornments())
+
+
+def _chosen_entry(report: str) -> tuple[str, str]:
+    [entry] = [e for e in report.split("\n\n") if "<== chosen" in e]
+    lines = entry.splitlines()
+    rules = next(line for line in lines if line.startswith("  rules: "))
+    adornments = next(line for line in lines if line.startswith("  adornments: "))
+    return rules[len("  rules: ") :], adornments[len("  adornments: ") :]
+
+
 class TestExplain:
     def test_lists_all_plans(self, m1_mediator):
         report = explain(m1_mediator, "?- m(a, C).")
@@ -37,6 +50,29 @@ class TestExplain:
         assert "<== chosen" in report
         assert "cost(" in report
         assert "Tf=" in report
+
+    def test_chosen_mark_is_the_plan_query_runs(self, m1_mediator):
+        m1_mediator.train(["?- m(a, C)."])
+        for plan in m1_mediator.plans("?- m(a, C)."):
+            m1_mediator.query("?- m(a, C).", plan=plan)
+        for objective, mode in (("all", "all"), ("first", "interactive")):
+            report = explain(m1_mediator, "?- m(a, C).", objective=objective)
+            result = m1_mediator.query("?- m(a, C).", mode=mode)
+            assert _chosen_entry(report) == _identity(result.chosen)
+
+    def test_chosen_mark_beyond_truncated_enumeration(self, wide_union_mediator):
+        """Rule b is cheaper but enumeration stops inside rule a's 120
+        orderings: the chosen entry is the search's rule-b plan, listed
+        after the enumerated candidates."""
+        mediator = wide_union_mediator(a_ms=50.0, b_ms=1.0)
+        for rule in "ab":
+            for index in range(5):
+                mediator.query(f"?- in(O, d:{rule}{index}()).", optimize=False)
+        report = explain(mediator, "?- p(X).")
+        result = mediator.query("?- p(X).")
+        assert "d:b0()" in result.chosen.origin
+        assert _chosen_entry(report) == _identity(result.chosen)
+        assert "Plan 65 <== chosen (found by search" in report
 
     def test_objective_first(self, m1_mediator):
         m1_mediator.train(["?- m(a, C)."])

@@ -145,6 +145,17 @@ class TestUnionSemantics:
         result = mediator.query("?- top(Y).", semantics="union")
         assert sorted(result.column("Y")) == [10, 20]
 
+    def test_union_runs_every_rule_past_the_enumeration_bound(
+        self, wide_union_mediator
+    ):
+        """Each rule has 120 orderings, more than enumeration keeps: the
+        union must still run one plan per rule, not only rule a's."""
+        mediator = wide_union_mediator()
+        for optimize in (True, False):
+            result = mediator.query("?- p(X).", semantics="union", optimize=optimize)
+            assert sorted(result.column("X")) == [0, 10]
+            assert len({plan.origin for plan in result.candidate_plans}) == 2
+
     def test_bad_semantics_rejected(self):
         mediator = self.make_mediator()
         from repro.errors import PlanningError

@@ -142,7 +142,7 @@ class TestMixedFeatureSession:
             simple_domain("d", {"f": lambda: [1, 2, 3], "g": lambda x: [x * 2]})
         )
         mediator.load_program("p(X, Y) :- in(X, d:f()) & in(Y, d:g(X)).")
-        assert mediator.validate_program() == []
+        assert mediator.analyze().clean
         report = explain(mediator, "?- p(X, Y).")
         assert "candidate plan" in report
         result = mediator.query("?- p(X, Y).")

@@ -93,6 +93,65 @@ def test_guided_matches_exhaustive_on_generated_workloads(
             assert result.vector.t_all_ms == pytest.approx(winner.t_all_ms)
 
 
+@st.composite
+def _union_programs(draw):
+    """2-3 alternative rules for p/1, each 1-3 calls; a call's input is
+    a constant or an earlier call's output, and each function has its
+    own explicit cost."""
+    costs = draw(st.lists(st.integers(1, 40), min_size=4, max_size=4))
+    rules = []
+    for __ in range(draw(st.integers(2, 3))):
+        calls = []
+        for position in range(draw(st.integers(1, 3))):
+            function = draw(st.integers(0, 3))
+            source = draw(st.integers(-1, position - 1))
+            arg = "'s'" if source < 0 else f"V{source}"
+            calls.append(f"in(V{position}, d:f{function}({arg}))")
+        rules.append(f"p(V0) :- {' & '.join(calls)}.")
+    return costs, rules
+
+
+@settings(max_examples=15, deadline=None)
+@given(program=_union_programs(), objective=st.sampled_from(["all", "first"]))
+def test_union_branches_match_exhaustive(program, objective):
+    """Property: every rewriting gets a branch, and each branch's chosen
+    cost is the minimum over that branch's (complete) enumeration."""
+    from repro.domains.base import simple_domain
+
+    costs, rules = program
+
+    def successors(index: int, cost: int):
+        return lambda x: ([f"{x}.{index}.{j}" for j in range(1 + cost % 2)], 1.0, cost)
+
+    mediator = Mediator()
+    mediator.register_domain(
+        simple_domain(
+            "d", {f"f{i}": successors(i, cost) for i, cost in enumerate(costs)}
+        )
+    )
+    mediator.load_program("\n".join(rules))
+    query = parse_query("?- p(X).")
+    plans = mediator.rewriter.plans(query)
+    assert len(plans) < mediator.rewriter_config.max_plans  # complete
+    for plan in plans:
+        mediator.query(query, plan=plan)  # statistics for every ordering
+    by_origin: dict[str, list] = {}
+    for plan in plans:
+        by_origin.setdefault(plan.origin, []).append(plan)
+    branches = mediator.rewriter.search_branches(
+        query, mediator.cost_estimator, objective=objective
+    )
+    assert {branch.plan.origin for branch in branches} == set(by_origin)
+    for branch in branches:
+        winner, _ = mediator.cost_estimator.choose(
+            by_origin[branch.plan.origin], objective=objective
+        )
+        assert winner is not None and branch.vector is not None
+        assert (branch.vector.t_all_ms, branch.vector.t_first_ms) == pytest.approx(
+            (winner.t_all_ms, winner.t_first_ms)
+        )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_guided_matches_exhaustive_on_small_stars(seed):
     """calls! < max_plans here, so enumeration is complete and the
@@ -342,13 +401,3 @@ def test_planner_metrics_and_stats_surface():
 
     summary = _planner_summary(mediator)
     assert "plan cache 1 hits" in summary
-
-
-def test_guided_search_can_be_disabled():
-    mediator = _pq_mediator()
-    mediator.guided_search = False
-    mediator.query("?- m('a', C).", optimize=False)
-    result = mediator.query("?- m('a', C).")
-    assert sorted(result.column("C")) == ["x", "y"]
-    assert mediator.metrics.value("planner.searches") == 0
-    assert len(mediator.plan_cache) == 0
